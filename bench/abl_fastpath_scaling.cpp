@@ -8,10 +8,16 @@
  * bottleneck; this bench measures exactly that ratio, while asserting
  * every modelled quantity (critical-path cycles, kernel time, copy
  * times) stays bit-identical between the two modes — the property the
- * shadow-mode differential suite proves per kernel.
+ * shadow-mode differential suite proves per kernel. A second table
+ * does the same for the 16-DPU row-sharded convolution the perfbench
+ * multiply workload launches.
  */
 
+#include <cstring>
+
+#include "analysis/footprint.h"
 #include "bench_util.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "pimhe/fast_kernels.h"
 
@@ -73,6 +79,77 @@ runOnce(pim::ExecMode mode, std::size_t dpus, std::size_t host_threads,
     return stats;
 }
 
+/**
+ * The perfbench multiply shape: one 4-limb (109-bit q) negacyclic
+ * convolution at n = 256, row-sharded over 16 DPUs, as PimConvolver
+ * launches it. Stats as in runOnce: modelled from the first launch,
+ * wall time the best of two.
+ */
+pim::LaunchStats
+runConvOnce(pim::ExecMode mode, std::size_t host_threads,
+            unsigned tasklets)
+{
+    constexpr std::size_t dpus = 16;
+    constexpr std::uint32_t n = 256;
+    constexpr std::uint32_t limbs = 4;
+    pim::SystemConfig cfg = pim::paperSystem();
+    cfg.numDpus = dpus;
+    cfg.hostThreads = host_threads;
+    cfg.execMode = mode;
+    pim::DpuSet set(cfg, dpus);
+
+    const U128 q = U128::oneShl(109) - U128(229375ULL);
+    const U128 half = q.shr(1);
+    pimhe_kernels::ConvKernelParams kp;
+    kp.n = n;
+    kp.limbs = limbs;
+    for (std::uint32_t l = 0; l < limbs; ++l) {
+        kp.q[l] = q.limb(l);
+        kp.halfQ[l] = half.limb(l);
+    }
+    const std::uint32_t poly_bytes = n * limbs * 4;
+    kp.mramA = 0;
+    kp.mramB = poly_bytes;
+    kp.mramOut = 2 * poly_bytes;
+    const auto [b0, e0] = analysis::rowShardRange(n, dpus, 0);
+    kp.rowBegin = b0;
+    kp.rowEnd = e0;
+    kp.mramMeta = kp.mramOut + std::uint64_t(e0 - b0) * kp.accLimbs() * 4;
+
+    // Reduced operands spread over the whole range so both centring
+    // signs occur.
+    Rng rng(2023);
+    std::vector<std::uint8_t> a(poly_bytes), b(poly_bytes);
+    for (std::uint32_t i = 0; i < n; ++i)
+        for (const auto buf : {&a, &b}) {
+            U128 v;
+            for (std::uint32_t l = 0; l < limbs; ++l)
+                v.setLimb(l, rng.next32());
+            v = mod(v, q);
+            for (std::uint32_t l = 0; l < limbs; ++l) {
+                const std::uint32_t limb = v.limb(l);
+                std::memcpy(buf->data() + (i * limbs + l) * 4, &limb, 4);
+            }
+        }
+    set.broadcastToMram(kp.mramA, a);
+    set.broadcastToMram(kp.mramB, b);
+    for (std::size_t d = 0; d < dpus; ++d) {
+        const auto [rb, re] = analysis::rowShardRange(
+            n, dpus, static_cast<std::uint32_t>(d));
+        const std::uint32_t meta[2] = {rb, re};
+        std::vector<std::uint8_t> bytes(8);
+        std::memcpy(bytes.data(), meta, 8);
+        set.copyToMram(d, kp.mramMeta, bytes);
+    }
+    const auto ck = pimhe_kernels::compiledNegacyclicConv(kp);
+    set.launch(tasklets, ck);
+    pim::LaunchStats stats = set.lastLaunch();
+    set.launch(tasklets, ck);
+    stats.hostWallMs =
+        std::min(stats.hostWallMs, set.lastLaunch().hostWallMs);
+    return stats;
+}
+
 bool
 modelledIdentical(const pim::LaunchStats &x, const pim::LaunchStats &y)
 {
@@ -95,7 +172,8 @@ main()
     Report report("abl_fastpath_scaling", "S4",
                   "compiled-kernel fast path",
                   "fast mode beats instruction-level interpretation "
-                  "by >= 4x wall-clock at 256 DPUs; modelled stats "
+                  "by >= 4x wall-clock at 256 DPUs and on the "
+                  "sharded convolution by >= 8x; modelled stats "
                   "bit-identical between modes");
 
     const unsigned tasklets = 12;
@@ -137,11 +215,34 @@ main()
     report.series("interpret_wall_ms", interp_ms);
     report.series("fast_wall_ms", fast_ms);
 
+    std::cout << "\nfull simulation: 128-bit negacyclic convolution, "
+                 "n=256 row-sharded over 16 DPUs, "
+              << tasklets << " tasklets\n";
+    const auto conv_interp =
+        runConvOnce(pim::ExecMode::Interpret, host_threads, tasklets);
+    const auto conv_fast =
+        runConvOnce(pim::ExecMode::Fast, host_threads, tasklets);
+    const bool conv_same = modelledIdentical(conv_interp, conv_fast);
+    all_identical = all_identical && conv_same;
+    const double conv_speedup =
+        conv_interp.hostWallMs / std::max(conv_fast.hostWallMs, 1e-9);
+    Table ct({"kernel", "interpret (ms)", "fast (ms)", "speedup",
+              "bit-identical"});
+    ct.addRow({"conv n=256 x16", Table::fmt(conv_interp.hostWallMs, 2),
+               Table::fmt(conv_fast.hostWallMs, 2),
+               Table::fmtSpeedup(conv_speedup),
+               conv_same ? "yes" : "NO"});
+    report.table(ct);
+    report.series("conv_interpret_wall_ms", {conv_interp.hostWallMs});
+    report.series("conv_fast_wall_ms", {conv_fast.hostWallMs});
+
     std::cout << "\nband checks:\n";
     report.bandCheck("modelled stats identical in both modes",
                      all_identical ? 1.0 : 0.0, 1.0, 1.0);
     report.bandCheck("fast-path speedup at 256 DPUs", speedup_at_256,
                      4.0, 100000.0);
+    report.bandCheck("fast-path conv speedup at n=256 x16", conv_speedup,
+                     8.0, 100000.0);
     const int rc = report.write();
     return all_identical ? rc : 1;
 }

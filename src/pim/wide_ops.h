@@ -124,15 +124,25 @@ dpuWideMulSchoolbook(TaskletCtx &ctx, const std::uint32_t *a,
  * corrections use mask-and-add so the instruction count is data-
  * independent.
  *
- * @param limbs Power of two, at most 4 (operands up to 128 bits).
+ * @param limbs 1 to 4 (operands up to 128 bits). Three limbs are
+ *              zero-extended to four and pay the 4-limb cost.
  */
 inline void
 dpuWideMulKaratsuba(TaskletCtx &ctx, const std::uint32_t *a,
                     const std::uint32_t *b, std::uint32_t *out,
                     std::size_t limbs)
 {
-    PIMHE_ASSERT(limbs == 1 || limbs == 2 || limbs == 4,
+    PIMHE_ASSERT(limbs >= 1 && limbs <= 4,
                  "unsupported operand width: ", limbs, " limbs");
+    if (limbs == 3) {
+        const std::uint32_t a4[4] = {a[0], a[1], a[2], 0};
+        const std::uint32_t b4[4] = {b[0], b[1], b[2], 0};
+        std::uint32_t wide[8];
+        dpuWideMulKaratsuba(ctx, a4, b4, wide, 4);
+        for (std::size_t i = 0; i < 6; ++i)
+            out[i] = wide[i];
+        return;
+    }
     if (limbs == 1) {
         const std::uint64_t p = ctx.mul32(a[0], b[0]);
         out[0] = static_cast<std::uint32_t>(p);

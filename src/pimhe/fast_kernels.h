@@ -69,7 +69,13 @@ probeInstructions(const pim::DpuConfig &cfg, Body &&body,
 // Host mirrors of the DPU wide-integer arithmetic (pim/wide_ops.h).
 // Structural, not just mathematical: the branch-free select/mask
 // sequences are mirrored so results match the interpreter bit for bit
-// even on unreduced inputs.
+// even on unreduced inputs. The one mathematical step is the
+// convolution's accumulation (runFastConv): the interpreter's
+// accumulator is a sum of signed products in Z / 2^(32 * accLimbs),
+// where grouping and order cannot change the result, so the mirror
+// sums positive and negative products in separate double-width columns
+// and subtracts once per row. Centring stays structural, which is
+// what keeps unreduced inputs exact (DESIGN.md §12.5).
 // ---------------------------------------------------------------------
 
 inline std::uint32_t
@@ -476,23 +482,6 @@ hostCentreMagnitude(const ConvKernelParams &p, const std::uint32_t *v,
     return is_neg;
 }
 
-/** Mirror of accumulateSigned (two's-complement addc chain). */
-inline void
-hostAccumulateSigned(std::uint32_t *acc, const std::uint32_t *prod,
-                     std::uint32_t prod_limbs, std::uint32_t acc_limbs,
-                     std::uint32_t negate)
-{
-    const std::uint32_t mask = 0u - negate;
-    std::uint32_t carry = negate & 1u;
-    for (std::uint32_t l = 0; l < acc_limbs; ++l) {
-        const std::uint32_t pv = l < prod_limbs ? prod[l] : 0;
-        const std::uint64_t s =
-            static_cast<std::uint64_t>(acc[l]) + (pv ^ mask) + carry;
-        acc[l] = static_cast<std::uint32_t>(s);
-        carry = static_cast<std::uint32_t>(s >> 32);
-    }
-}
-
 /** Probe one inner term of the convolution row loop: coefficient
  *  loads, two centrings, the Karatsuba product, the sign xor, the
  *  signed accumulate and the charge(3). */
@@ -520,11 +509,129 @@ probeConvInner(const pim::DpuConfig &cfg, const ConvKernelParams &p)
     });
 }
 
-/** Fast body of the negacyclic convolution kernel (plain and
- *  row-sharded), mirroring makeNegacyclicConvKernel. */
+/**
+ * Digits of the word-level convolution mirror: 64-bit digits summed
+ * in 128-bit columns where the compiler has them, 32-bit digits in
+ * 64-bit columns otherwise. Either way one body serves every width.
+ */
+#if defined(__SIZEOF_INT128__)
+using ConvDigit = std::uint64_t;
+using ConvColumn = unsigned __int128;
+using ConvSignedColumn = __int128;
+#else
+using ConvDigit = std::uint32_t;
+using ConvColumn = std::uint64_t;
+using ConvSignedColumn = std::int64_t;
+#endif
+inline constexpr std::uint32_t kConvDigitBits = 8 * sizeof(ConvDigit);
+inline constexpr std::uint32_t kLimbsPerConvDigit = sizeof(ConvDigit) / 4;
+
+/** Digits of one L-limb magnitude and of its accumulator. */
+template <std::uint32_t L>
+inline constexpr std::uint32_t kConvMagDigits =
+    (L + kLimbsPerConvDigit - 1) / kLimbsPerConvDigit;
+template <std::uint32_t L>
+inline constexpr std::uint32_t kConvAccDigits =
+    ConvKernelParams::accLimbsFor(L) / kLimbsPerConvDigit;
+
+/** An operand centred once per DPU run: the sign bit and the
+ *  magnitude (packed into little-endian digits) of every coefficient,
+ *  exactly as centreMagnitude produces them. */
+struct CentredOperand
+{
+    std::vector<std::uint8_t> sign;
+    std::vector<ConvDigit> mag;
+};
+
+template <std::uint32_t L>
+inline CentredOperand
+centreOperand(const ConvKernelParams &p, const std::uint32_t *coeffs)
+{
+    constexpr std::uint32_t D = kConvMagDigits<L>;
+    CentredOperand out;
+    out.sign.resize(p.n);
+    out.mag.resize(static_cast<std::size_t>(p.n) * D);
+    for (std::uint32_t i = 0; i < p.n; ++i) {
+        std::uint32_t m[D * kLimbsPerConvDigit] = {};
+        out.sign[i] = static_cast<std::uint8_t>(
+            hostCentreMagnitude(p, coeffs + std::size_t(i) * L, m));
+        for (std::uint32_t d = 0; d < D; ++d) {
+            ConvDigit w = 0;
+            for (std::uint32_t k = 0; k < kLimbsPerConvDigit; ++k)
+                w |= static_cast<ConvDigit>(m[d * kLimbsPerConvDigit + k])
+                     << (32 * k);
+            out.mag[std::size_t(i) * D + d] = w;
+        }
+    }
+    return out;
+}
+
+/** The two column sets of one output row: col[0] sums the positive
+ *  terms, col[1] the negative ones, 2 * kConvMagDigits columns each. */
+template <std::uint32_t L>
+using ConvColumns = ConvColumn[2][2 * kConvMagDigits<L>];
+
+/**
+ * Add every term of output row m into its column set, picked by the
+ * term's sign bit (the two centring signs, flipped once more by the
+ * negacyclic wrap), so there is no branch. Each term adds the low and
+ * high halves of its digit partial products: column k takes at most
+ * 2 * kConvMagDigits - 1 digit-sized addends per term.
+ */
+template <std::uint32_t L>
 inline void
-runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
-            std::uint64_t inner_cost)
+accumulateRow(const ConvKernelParams &p, const CentredOperand &a,
+              const CentredOperand &b, std::uint32_t m,
+              ConvColumns<L> &col)
+{
+    constexpr std::uint32_t D = kConvMagDigits<L>;
+    const auto term = [&](std::uint32_t i, std::uint32_t j,
+                          std::uint32_t negate) {
+        ConvColumn *c = col[negate];
+        const ConvDigit *x = &a.mag[std::size_t(i) * D];
+        const ConvDigit *y = &b.mag[std::size_t(j) * D];
+        for (std::uint32_t u = 0; u < D; ++u)
+            for (std::uint32_t v = 0; v < D; ++v) {
+                const ConvColumn prod = static_cast<ConvColumn>(x[u]) * y[v];
+                c[u + v] += static_cast<ConvDigit>(prod);
+                c[u + v + 1] += static_cast<ConvDigit>(prod >> kConvDigitBits);
+            }
+    };
+    for (std::uint32_t i = 0; i <= m; ++i)
+        term(i, m - i, a.sign[i] ^ b.sign[m - i]);
+    for (std::uint32_t i = m + 1; i < p.n; ++i)
+        term(i, m + p.n - i, a.sign[i] ^ b.sign[m + p.n - i] ^ 1u);
+}
+
+/**
+ * Write acc = P - N mod 2^(32 * accLimbs) as accLimbs() u32 limbs,
+ * where P and N are the values of the positive and negative column
+ * sets: exactly the interpreter's two's-complement accumulator
+ * (DESIGN.md §12.5). The sets are subtracted column by column and
+ * carried with a signed carry (the arithmetic shift floors).
+ */
+template <std::uint32_t L>
+inline void
+resolveRow(const ConvColumns<L> &col, std::uint32_t *acc)
+{
+    ConvSignedColumn carry = 0;
+    for (std::uint32_t k = 0; k < kConvAccDigits<L>; ++k) {
+        ConvSignedColumn v = carry;
+        if (k < 2 * kConvMagDigits<L>)
+            v += static_cast<ConvSignedColumn>(col[0][k] - col[1][k]);
+        const auto d = static_cast<ConvDigit>(v);
+        carry = v >> kConvDigitBits;
+        for (std::uint32_t l = 0; l < kLimbsPerConvDigit; ++l)
+            acc[k * kLimbsPerConvDigit + l] =
+                static_cast<std::uint32_t>(d >> (32 * l));
+    }
+}
+
+/** runFastConv for one limb count L. */
+template <std::uint32_t L>
+inline void
+runFastConvWidth(pim::FastCtx &f, const ConvKernelParams &p,
+                 std::uint64_t inner_cost)
 {
     const bool sharded = p.mramMeta != ConvKernelParams::kNoRowMeta;
     const std::uint32_t eb = p.limbs * 4;
@@ -534,6 +641,12 @@ runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
                          f.numTasklets * acc_bytes <=
                      f.cfg.wramBytes,
                  "polynomials do not fit in WRAM; lower n");
+    // The column bound: fewer than 2^(kConvDigitBits - 1) digit-sized
+    // addends per column, so no column, and no difference of two
+    // columns, leaves the signed column range.
+    PIMHE_ASSERT(static_cast<ConvColumn>(2 * kConvMagDigits<L> - 1) * p.n <
+                     (static_cast<ConvColumn>(1) << (kConvDigitBits - 1)),
+                 "convolution columns could overflow; lower n");
 
     // Tasklet 0 stages both operands (and the metadata block).
     for (std::uint32_t off = 0; off < poly_bytes; off += 2048) {
@@ -545,13 +658,14 @@ runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
     if (sharded)
         f.chargeDma(0, 8);
 
-    std::vector<std::uint32_t> A(
+    std::vector<std::uint32_t> coeffs(
         static_cast<std::size_t>(p.n) * p.limbs);
-    std::vector<std::uint32_t> B(A.size());
-    f.mram.read(p.mramA, reinterpret_cast<std::uint8_t *>(A.data()),
+    f.mram.read(p.mramA, reinterpret_cast<std::uint8_t *>(coeffs.data()),
                 poly_bytes);
-    f.mram.read(p.mramB, reinterpret_cast<std::uint8_t *>(B.data()),
+    const CentredOperand A = centreOperand<L>(p, coeffs.data());
+    f.mram.read(p.mramB, reinterpret_cast<std::uint8_t *>(coeffs.data()),
                 poly_bytes);
+    const CentredOperand B = centreOperand<L>(p, coeffs.data());
     std::uint32_t row_begin = 0;
     std::uint32_t row_end = p.n;
     if (sharded) {
@@ -571,24 +685,10 @@ runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
             taskletRange(row_end - row_begin, t, f.numTasklets);
         for (std::uint32_t m = row_begin + tb; m < row_begin + te;
              ++m) {
-            std::uint32_t acc[2 * pim::kMaxLimbs] = {};
-            for (std::uint32_t i = 0; i < p.n; ++i) {
-                const bool wraps = i > m;
-                const std::uint32_t j =
-                    wraps ? m + p.n - i : m - i;
-                std::uint32_t am[pim::kMaxLimbs];
-                std::uint32_t bm[pim::kMaxLimbs];
-                const std::uint32_t sa = hostCentreMagnitude(
-                    p, A.data() + std::size_t(i) * p.limbs, am);
-                const std::uint32_t sb = hostCentreMagnitude(
-                    p, B.data() + std::size_t(j) * p.limbs, bm);
-                std::uint32_t prod[2 * pim::kMaxLimbs] = {};
-                hostWideMul(am, bm, prod, p.limbs);
-                const std::uint32_t negate =
-                    (sa ^ sb) ^ (wraps ? 1u : 0u);
-                hostAccumulateSigned(acc, prod, 2 * p.limbs,
-                                     p.accLimbs(), negate);
-            }
+            std::uint32_t acc[2 * pim::kMaxLimbs];
+            ConvColumns<L> col = {};
+            accumulateRow<L>(p, A, B, m, col);
+            resolveRow<L>(col, acc);
             ts.instructions +=
                 static_cast<std::uint64_t>(p.n) * inner_cost +
                 p.accLimbs() + 5;
@@ -599,6 +699,26 @@ runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
                          acc_bytes);
             f.chargeDma(t, acc_bytes);
         }
+    }
+}
+
+/**
+ * Fast body of the negacyclic convolution kernel (plain and
+ * row-sharded), mirroring makeNegacyclicConvKernel. Signs and
+ * magnitudes are the interpreter's own (hostCentreMagnitude, once per
+ * coefficient per DPU run rather than once per term); only the
+ * accumulation is regrouped, which is exact in Z / 2^(32 * accLimbs).
+ */
+inline void
+runFastConv(pim::FastCtx &f, const ConvKernelParams &p,
+            std::uint64_t inner_cost)
+{
+    switch (p.limbs) {
+    case 1: return runFastConvWidth<1>(f, p, inner_cost);
+    case 2: return runFastConvWidth<2>(f, p, inner_cost);
+    case 3: return runFastConvWidth<3>(f, p, inner_cost);
+    case 4: return runFastConvWidth<4>(f, p, inner_cost);
+    default: panic("unsupported convolution width: ", p.limbs, " limbs");
     }
 }
 

@@ -490,8 +490,10 @@ struct ConvKernelParams
      * plus one limb absorbs the sum over n terms, rounded up to an
      * even count for 8-byte DMA alignment.
      */
-    std::uint32_t
-    accLimbs() const
+    std::uint32_t accLimbs() const { return accLimbsFor(limbs); }
+
+    static constexpr std::uint32_t
+    accLimbsFor(std::uint32_t limbs)
     {
         const std::uint32_t raw = 2 * limbs + 1;
         return raw + (raw & 1);

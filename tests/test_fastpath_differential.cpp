@@ -16,9 +16,13 @@
  *    and stall cycles bit-identically.
  *
  * Mismatch-injection tests then corrupt a fast body on purpose
- * (off-by-one output tail, stale cycle formula, skipped shard row)
+ * (off-by-one output tail, stale cycle formula, skipped shard row,
+ * dropped column carry)
  * and require shadow mode to die with a diagnostic naming the
  * kernel, the DPU and the first diverging byte range or counter.
+ *
+ * An oracle test compares the fast-mode PIM convolver with the host's
+ * exact convolvers directly, without going through the interpreter.
  *
  * End-to-end, whole BFV pipelines (PimHeSystem and PimConvolver) run
  * in shadow mode with decryption checks, so the fast path is also
@@ -32,6 +36,7 @@
 #include <vector>
 
 #include "analysis/footprint.h"
+#include "ntt/rns.h"
 #include "pimhe/fast_kernels.h"
 #include "pimhe/kernels.h"
 #include "pimhe/ntt_kernel.h"
@@ -233,11 +238,23 @@ runVecGrid()
     return iterations;
 }
 
+/** The conv grid's modulus: the paper's for 1/2/4 limbs, and the
+ *  Mersenne prime 2^89 - 1 for the odd 3-limb width. */
+template <std::size_t L>
+WideInt<L>
+convModulus()
+{
+    if constexpr (L == 3)
+        return WideInt<3>::oneShl(89) - WideInt<3>(1ULL);
+    else
+        return standardParams<L>().q;
+}
+
 template <std::size_t L>
 ConvKernelParams
 convParamsFor(std::size_t n)
 {
-    const auto q = standardParams<L>().q;
+    const auto q = convModulus<L>();
     ConvKernelParams p;
     p.n = static_cast<std::uint32_t>(n);
     p.limbs = L;
@@ -252,59 +269,159 @@ convParamsFor(std::size_t n)
     return p;
 }
 
+/** How a conv operand's coefficients are drawn. */
+enum class ConvFill
+{
+    Reduced,      //!< uniform below q
+    Unreduced,    //!< uniform in [q, 2^(32L)): huge centred magnitudes
+    QMinusOne,    //!< every coefficient q - 1 (centred -1)
+    HalfQPlusOne, //!< every coefficient floor(q/2) + 1 (most negative)
+    Zero,         //!< every coefficient 0
+};
+
+template <std::size_t L>
+std::vector<std::uint8_t>
+convOperand(Rng &rng, std::size_t n, ConvFill fill)
+{
+    const auto q = convModulus<L>();
+    std::vector<std::uint8_t> buf(n * L * 4);
+    for (std::size_t i = 0; i < n; ++i) {
+        WideInt<L> v;
+        switch (fill) {
+        case ConvFill::Reduced:
+            v = randomBelow<L>(rng, q);
+            break;
+        case ConvFill::Unreduced:
+            do {
+                v = pimhe::testing::randomWide<L>(rng);
+            } while (v < q);
+            break;
+        case ConvFill::QMinusOne:
+            v = q - WideInt<L>(1ULL);
+            break;
+        case ConvFill::HalfQPlusOne:
+            v = q.shr(1) + WideInt<L>(1ULL);
+            break;
+        case ConvFill::Zero:
+            break;
+        }
+        for (std::size_t l = 0; l < L; ++l) {
+            const std::uint32_t limb = v.limb(l);
+            std::memcpy(buf.data() + (i * L + l) * 4, &limb, 4);
+        }
+    }
+    return buf;
+}
+
+/**
+ * Shadow + pure-fast check of one convolution: plain on one DPU, or
+ * row-sharded over `dpus` DPUs whose metadata blocks select disjoint
+ * row ranges of the same operands. Shard 0 is a widest shard, so its
+ * row count bounds every DPU's accumulator region.
+ */
+template <std::size_t L>
+void
+runConvCase(std::size_t n, std::size_t dpus, unsigned tasklets,
+            std::size_t threads, const std::vector<std::uint8_t> &a,
+            const std::vector<std::uint8_t> &b, const std::string &what)
+{
+    ConvKernelParams p = convParamsFor<L>(n);
+    std::vector<std::uint8_t> base = a;
+    base.resize(p.mramB + b.size());
+    std::memcpy(base.data() + p.mramB, b.data(), b.size());
+    if (dpus == 1) {
+        runShadowAndFast(compiledNegacyclicConv(p), tasklets, 1, threads,
+                         {base}, 0, what);
+        return;
+    }
+    const auto shards = static_cast<std::uint32_t>(dpus);
+    const auto [b0, e0] =
+        analysis::rowShardRange(static_cast<std::uint32_t>(n), shards, 0);
+    p.rowBegin = b0;
+    p.rowEnd = e0;
+    p.mramMeta =
+        p.mramOut + static_cast<std::uint64_t>(e0 - b0) * p.accLimbs() * 4;
+    std::vector<std::vector<std::uint8_t>> init(dpus, base);
+    for (std::size_t d = 0; d < dpus; ++d) {
+        const auto [rb, re] = analysis::rowShardRange(
+            static_cast<std::uint32_t>(n), shards,
+            static_cast<std::uint32_t>(d));
+        init[d].resize(p.mramMeta + 8);
+        const std::uint32_t meta[2] = {rb, re};
+        std::memcpy(init[d].data() + p.mramMeta, meta, 8);
+    }
+    runShadowAndFast(compiledNegacyclicConv(p), tasklets, dpus, threads,
+                     init, 0, what);
+}
+
 template <std::size_t L>
 int
 runConvGrid()
 {
     int iterations = 0;
+    const std::string width = "L" + std::to_string(L);
     for (const std::size_t n : {16u, 32u}) {
         for (const unsigned tasklets : kTaskletGrid) {
             for (const std::size_t threads : kThreadGrid) {
                 Rng rng(kSeed + 77 * L + 10 * n + tasklets + threads);
-                const auto p = convParamsFor<L>(n);
                 const std::string tag =
-                    "L" + std::to_string(L) + " n" + std::to_string(n) +
-                    " t" + std::to_string(tasklets) + " th" +
+                    width + " n" + std::to_string(n) + " t" +
+                    std::to_string(tasklets) + " th" +
                     std::to_string(threads);
-
-                std::vector<std::vector<std::uint8_t>> init(1);
-                init[0] = packedVec<L>(rng, n);
-                const auto b = packedVec<L>(rng, n);
-                init[0].resize(p.mramB + b.size());
-                std::memcpy(init[0].data() + p.mramB, b.data(),
-                            b.size());
-                runShadowAndFast(compiledNegacyclicConv(p), tasklets, 1,
-                                 threads, init, 0, "conv " + tag);
-
-                // 2-DPU row-sharded variant: per-DPU metadata blocks
-                // select disjoint row ranges of the same operands.
-                ConvKernelParams sp = p;
-                const auto [b0, e0] = analysis::rowShardRange(
-                    static_cast<std::uint32_t>(n), 2, 0);
-                sp.rowBegin = b0;
-                sp.rowEnd = e0;
-                sp.mramMeta =
-                    sp.mramOut +
-                    static_cast<std::uint64_t>(e0 - b0) *
-                        sp.accLimbs() * 4;
-                std::vector<std::vector<std::uint8_t>> sinit(2);
-                for (std::size_t d = 0; d < 2; ++d) {
-                    const auto [rb, re] = analysis::rowShardRange(
-                        static_cast<std::uint32_t>(n), 2,
-                        static_cast<std::uint32_t>(d));
-                    sinit[d] = init[0];
-                    sinit[d].resize(sp.mramMeta + 8);
-                    const std::uint32_t meta[2] = {rb, re};
-                    std::memcpy(sinit[d].data() + sp.mramMeta, meta, 8);
-                }
-                runShadowAndFast(compiledNegacyclicConv(sp), tasklets,
-                                 2, threads, sinit, 0,
-                                 "conv-sharded " + tag);
+                const auto a = convOperand<L>(rng, n, ConvFill::Reduced);
+                const auto b = convOperand<L>(rng, n, ConvFill::Reduced);
+                runConvCase<L>(n, 1, tasklets, threads, a, b,
+                               "conv " + tag);
+                runConvCase<L>(n, 2, tasklets, threads, a, b,
+                               "conv-sharded " + tag);
                 iterations += 2;
             }
         }
     }
+
+    // Edge operands the word-level mirror must survive: unreduced
+    // inputs (centred magnitudes near 2^(32L), the deepest columns),
+    // all q - 1 and all floor(q/2) + 1 (rows whose sum is negative
+    // and borrows through every accumulator word), and all zero.
+    const std::pair<ConvFill, ConvFill> edges[] = {
+        {ConvFill::Unreduced, ConvFill::Unreduced},
+        {ConvFill::Unreduced, ConvFill::Reduced},
+        {ConvFill::QMinusOne, ConvFill::QMinusOne},
+        {ConvFill::HalfQPlusOne, ConvFill::HalfQPlusOne},
+        {ConvFill::HalfQPlusOne, ConvFill::Unreduced},
+        {ConvFill::Zero, ConvFill::Zero},
+    };
+    Rng rng(kSeed + 5000 + L);
+    int edge = 0;
+    for (const auto &[fa, fb] : edges) {
+        const std::size_t n = 32;
+        const auto a = convOperand<L>(rng, n, fa);
+        const auto b = convOperand<L>(rng, n, fb);
+        const std::string tag =
+            width + " edge " + std::to_string(edge++);
+        runConvCase<L>(n, 1, 11, 8, a, b, "conv " + tag);
+        runConvCase<L>(n, 2, 16, 1, a, b, "conv-sharded " + tag);
+        iterations += 2;
+    }
     return iterations;
+}
+
+/** The perfbench multiply shape: n = 256 over 16 row-sharded DPUs at
+ *  12 tasklets, the deepest accumulation the shipped workloads reach,
+ *  on reduced and on unreduced operands. */
+int
+runConvPerfbenchShape()
+{
+    Rng rng(kSeed + 256);
+    const std::size_t n = 256;
+    const auto a = convOperand<4>(rng, n, ConvFill::Reduced);
+    const auto b = convOperand<4>(rng, n, ConvFill::Reduced);
+    runConvCase<4>(n, 16, 12, 8, a, b, "conv-sharded L4 n256 x16");
+    const auto ua = convOperand<4>(rng, n, ConvFill::Unreduced);
+    const auto ub = convOperand<4>(rng, n, ConvFill::Unreduced);
+    runConvCase<4>(n, 16, 12, 8, ua, ub,
+                   "conv-sharded L4 n256 x16 unreduced");
+    return 2;
 }
 
 int
@@ -389,10 +506,65 @@ TEST(FastPathDifferential, FullGridIsBitExact)
     iterations += runVecGrid<4>();
     iterations += runConvGrid<1>();
     iterations += runConvGrid<2>();
+    iterations += runConvGrid<3>();
     iterations += runConvGrid<4>();
+    iterations += runConvPerfbenchShape();
     iterations += runNttGrid();
     EXPECT_GE(iterations, 200)
         << "fuzz grid shrank below the 200-iteration budget";
+}
+
+// ----- oracle: fast-mode PIM convolver vs the host engines -----
+
+/**
+ * The fast path checked without the interpreter: PimConvolver<4> in
+ * pure Fast mode, on one DPU and row-sharded over 16, must equal the
+ * host's exact convolvers coefficient for coefficient. Schoolbook is
+ * the reference at n = 256; the RNS-NTT engine (itself locked to
+ * schoolbook in test_ntt) at n = 1024, where schoolbook would be slow
+ * under the sanitizers.
+ */
+TEST(FastPathOracle, PimConvolverMatchesHostConvolvers)
+{
+    const auto q = standardParams<4>().q;
+    for (const std::size_t n : {256u, 1024u}) {
+        RingContext<4> ring(n, q);
+        const RnsNttConvolver<4> rns(ring);
+        const SchoolbookConvolver<4> schoolbook(ring);
+        Rng rng(kSeed + 404 + n);
+        std::vector<std::pair<Polynomial<4>, Polynomial<4>>> operands;
+        operands.emplace_back(ring.sampleUniform(rng),
+                              ring.sampleUniform(rng));
+        // Every coefficient floor(q/2) + 1 (the most negative centred
+        // value) against every coefficient q - 1 (centred -1).
+        Polynomial<4> most_negative(n);
+        Polynomial<4> minus_one(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            most_negative[i] = q.shr(1) + U128(1ULL);
+            minus_one[i] = q - U128(1ULL);
+        }
+        operands.emplace_back(most_negative, minus_one);
+
+        for (const std::size_t dpus : {1u, 16u}) {
+            const PimConvolver<4> pim(ring,
+                                      gridSystem(dpus, 4, ExecMode::Fast),
+                                      12, dpus);
+            for (std::size_t k = 0; k < operands.size(); ++k) {
+                const auto &[a, b] = operands[k];
+                const auto got = pim.convolveCentered(a, b);
+                ASSERT_EQ(pim.dpuSet().lastLaunch().execMode,
+                          ExecMode::Fast);
+                const auto want = n == 256
+                                      ? schoolbook.convolveCentered(a, b)
+                                      : rns.convolveCentered(a, b);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(got[i], want[i])
+                        << "n " << n << " dpus " << dpus << " operands "
+                        << k << " coeff " << i;
+            }
+        }
+    }
 }
 
 // ----- mismatch injection: a wrong fast body must be caught -----
@@ -505,6 +677,53 @@ TEST(FastPathMismatchDeath, SkippedShardRowIsCaught)
     EXPECT_DEATH(
         set.launch(11, ck),
         "shadow-mode divergence: dpu 0.*negacyclic-conv-sharded.*"
+        "output 'accumulators' diverges in mram bytes");
+}
+
+TEST(FastPathMismatchDeath, DroppedTopColumnCarryIsCaught)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    constexpr std::uint32_t L = 4;
+    const std::size_t n = 32;
+    const auto p = convParamsFor<L>(n);
+    CompiledKernel ck = compiledNegacyclicConv(p);
+    const auto base = ck.fast;
+    // Deliberate bug: the fast body keeps the correct stats but
+    // rewrites every row after dropping the carry out of its top
+    // column. Reduced operands never carry out of it at L = 4;
+    // unreduced ones (centred magnitudes near 2^128) do.
+    ck.fast = [base, p](FastCtx &f) {
+        using namespace fastpath;
+        constexpr std::uint32_t top = 2 * kConvMagDigits<L> - 1;
+        base(f);
+        std::vector<std::uint32_t> coeffs(std::size_t(p.n) * L);
+        auto *bytes = reinterpret_cast<std::uint8_t *>(coeffs.data());
+        f.mram.read(p.mramA, bytes, coeffs.size() * 4);
+        const CentredOperand a = centreOperand<L>(p, coeffs.data());
+        f.mram.read(p.mramB, bytes, coeffs.size() * 4);
+        const CentredOperand b = centreOperand<L>(p, coeffs.data());
+        for (std::uint32_t m = 0; m < p.n; ++m) {
+            ConvColumns<L> col = {};
+            accumulateRow<L>(p, a, b, m, col);
+            col[0][top] = static_cast<ConvDigit>(col[0][top]);
+            col[1][top] = static_cast<ConvDigit>(col[1][top]);
+            std::uint32_t acc[2 * kMaxLimbs];
+            resolveRow<L>(col, acc);
+            f.mram.write(p.mramOut + std::uint64_t(m) * p.accLimbs() * 4,
+                         reinterpret_cast<std::uint8_t *>(acc),
+                         p.accLimbs() * 4);
+        }
+    };
+
+    DpuSet set(gridSystem(1, 1, ExecMode::Shadow), 1);
+    Rng rng(kSeed + 123);
+    auto init = convOperand<L>(rng, n, ConvFill::Unreduced);
+    const auto b = convOperand<L>(rng, n, ConvFill::Unreduced);
+    init.insert(init.end(), b.begin(), b.end());
+    set.dpuAt(0).mram().write(0, init.data(), init.size());
+    EXPECT_DEATH(
+        set.launch(11, ck),
+        "shadow-mode divergence: dpu 0.*negacyclic-conv.*"
         "output 'accumulators' diverges in mram bytes");
 }
 

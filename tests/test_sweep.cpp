@@ -17,12 +17,16 @@ namespace {
 using pimhe::testing::BfvHarness;
 using pimhe::testing::kSeed;
 
+// gtest names each case after a byte dump of its parameter, so the
+// struct carries no padding: every byte is a field and the names are
+// the same from run to run.
 struct SweepShape
 {
     std::size_t dpus;
-    unsigned tasklets;
+    std::size_t tasklets;
     std::size_t cts;
 };
+static_assert(sizeof(SweepShape) == 3 * sizeof(std::size_t));
 
 class PimSweep : public ::testing::TestWithParam<SweepShape>
 {
@@ -48,7 +52,8 @@ sweepOnce(const SweepShape &shape)
     pim::SystemConfig cfg;
     cfg.numDpus = shape.dpus;
     cfg.verifyBeforeLaunch = true;
-    PimHeSystem<N> server(h.ctx, cfg, shape.dpus, shape.tasklets);
+    PimHeSystem<N> server(h.ctx, cfg, shape.dpus,
+                          static_cast<unsigned>(shape.tasklets));
 
     std::vector<Ciphertext<N>> as, bs;
     std::vector<std::uint64_t> va, vb;

@@ -258,6 +258,29 @@ TYPED_TEST(WideOpsWidths, MultiplicationCostGrowsWithWidth)
         << "multiplication must dwarf addition on gen1";
 }
 
+TEST(WideOps, KaratsubaThreeLimbsZeroExtendsToFour)
+{
+    // An odd width (the 96-bit convolution magnitude) multiplies as a
+    // zero-extended 4-limb operand: exact 6-limb product, 4-limb cost.
+    Rng rng(kSeed + 96);
+    const auto max = WideInt<3>::maxValue();
+    std::vector<std::pair<WideInt<3>, WideInt<3>>> cases = {
+        {max, max}, {WideInt<3>(), max}, {WideInt<3>(1ULL), max}};
+    for (int it = 0; it < 100; ++it)
+        cases.emplace_back(randomWide<3>(rng), randomWide<3>(rng));
+    for (const auto &[a, b] : cases) {
+        std::uint32_t al[4] = {}, bl[4] = {}, out[8] = {};
+        toLimbs(a, al);
+        toLimbs(b, bl);
+        OpsHarness h3;
+        dpuWideMulKaratsuba(h3.ctx, al, bl, out, 3);
+        EXPECT_EQ(fromLimbs<6>(out), a.mulFull(b));
+        OpsHarness h4;
+        dpuWideMulKaratsuba(h4.ctx, al, bl, out, 4);
+        EXPECT_EQ(h3.stats.instructions, h4.stats.instructions);
+    }
+}
+
 TEST(WideOps, PseudoMersenneRejectsBadShapes)
 {
     OpsHarness h;
