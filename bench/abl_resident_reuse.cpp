@@ -8,8 +8,9 @@
  * verifier armed:
  *
  *  1. tree reduction of a ciphertext vector (the mean/variance
- *     aggregation shape): reduceCiphertextsStaged re-uploads each
- *     round's operands and downloads each round's sums, while the
+ *     aggregation shape): the staged tree — rounds of
+ *     addCiphertextVectors — re-uploads each round's operands and
+ *     downloads each round's sums, while the
  *     resident path uploads the packed slices once, folds them in
  *     MRAM across log2(m) launches, and downloads one ciphertext;
  *  2. negacyclic convolution row-sharded across K DPUs versus a
@@ -62,6 +63,27 @@ randomCiphertext(Rng &rng, const BfvContext<kLimbs> &ctx)
     return ct;
 }
 
+/** The staged tree reduction: pairwise rounds of
+ *  addCiphertextVectors (an odd leftover rides into the next round),
+ *  every round re-uploading its operands and downloading its sums. */
+Ciphertext<kLimbs>
+stagedTreeReduce(PimHeSystem<kLimbs> &sys,
+                 std::vector<Ciphertext<kLimbs>> cur)
+{
+    while (cur.size() > 1) {
+        const std::size_t half = cur.size() / 2;
+        const std::vector<Ciphertext<kLimbs>> lo(cur.begin(),
+                                                 cur.begin() + half);
+        const std::vector<Ciphertext<kLimbs>> hi(
+            cur.begin() + half, cur.begin() + 2 * half);
+        auto sums = sys.addCiphertextVectors(lo, hi);
+        if (cur.size() % 2)
+            sums.push_back(std::move(cur.back()));
+        cur = std::move(sums);
+    }
+    return cur.front();
+}
+
 } // namespace
 
 int
@@ -97,7 +119,7 @@ main()
               << " DPUs\n\n";
 
     PimHeSystem<kLimbs> staged(ctx, makeSystem(dpus), dpus, 12);
-    const auto staged_sum = staged.reduceCiphertextsStaged(vec);
+    const auto staged_sum = stagedTreeReduce(staged, vec);
     const auto &sx = staged.transferTotals();
 
     PimHeSystem<kLimbs> resident(ctx, makeSystem(dpus), dpus, 12);

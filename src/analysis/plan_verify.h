@@ -136,6 +136,16 @@ class PlanVerifier
     PlanReport checkLaunch(const KernelFootprint &fp);
 
     std::size_t liveRegions() const { return live_.size(); }
+
+    /** Bytes held by live regions: the arena's bytes in use. */
+    std::uint64_t
+    liveBytes() const
+    {
+        std::uint64_t bytes = 0;
+        for (const auto &[id, r] : live_)
+            bytes += r.bytes;
+        return bytes;
+    }
     std::size_t freedRanges() const { return freed_.size(); }
     std::uint64_t launchesChecked() const { return launches_; }
 

@@ -109,6 +109,7 @@ class ByteReader
         const std::uint64_t n = readU64();
         PIMHE_ASSERT(n >= 1 && n <= max_degree,
                      "implausible polynomial degree ", n);
+        requireRemaining(n * N * 4, n);
         Polynomial<N> p(n);
         for (std::size_t i = 0; i < n; ++i)
             p[i] = readWide<N>();
@@ -117,6 +118,20 @@ class ByteReader
 
     bool atEnd() const { return pos_ == bytes_.size(); }
     std::size_t position() const { return pos_; }
+
+    /**
+     * Check that the stream still holds the `bytes` payload of a
+     * claimed `count` elements, BEFORE the caller allocates them: a
+     * forged header must not cost a degree-sized allocation.
+     */
+    void
+    requireRemaining(std::uint64_t bytes, std::uint64_t count) const
+    {
+        PIMHE_ASSERT(bytes <= bytes_.size() - pos_,
+                     "truncated stream at offset ", pos_, ": ", count,
+                     " coefficients need ", bytes, " bytes, ",
+                     bytes_.size() - pos_, " remain");
+    }
 
   private:
     std::span<const std::uint8_t> bytes_;
@@ -211,6 +226,7 @@ deserializePlaintext(std::span<const std::uint8_t> bytes)
     detail::readHeader(r, detail::Tag::Plaintext, 0);
     const std::uint64_t n = r.readU64();
     PIMHE_ASSERT(n <= detail::kMaxDegree, "implausible degree ", n);
+    r.requireRemaining(n * 8, n);
     Plaintext pt(n);
     for (std::size_t i = 0; i < n; ++i)
         pt.coeffs[i] = r.readU64();

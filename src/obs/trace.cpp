@@ -40,7 +40,7 @@ argsJson(const std::vector<std::pair<std::string, double>> &numArgs,
 struct ChromeEvent
 {
     double ts = 0;
-    std::size_t order = 0; //!< per-(pid,tid) emission index
+    std::size_t index = 0; //!< insertion position (sort tie-break)
     std::string json;
 };
 
@@ -202,11 +202,10 @@ Tracer::writeChromeTrace(std::ostream &os) const
                           return a.endUs > b.endUs;
                       return a.seq < b.seq;
                   });
-        std::size_t order = 0;
         std::vector<const TraceSpan *> stack;
         auto emitEnd = [&](const TraceSpan &s) {
             JsonValue e = baseEvent("E", s.pid, s.tid, s.endUs, s.name);
-            events.push_back({s.endUs, order++, e.dump()});
+            events.push_back({s.endUs, events.size(), e.dump()});
         };
         for (const TraceSpan &s : ls) {
             while (!stack.empty() &&
@@ -218,7 +217,7 @@ Tracer::writeChromeTrace(std::ostream &os) const
                 baseEvent("B", s.pid, s.tid, s.beginUs, s.name);
             if (!s.numArgs.empty() || !s.strArgs.empty())
                 e.set("args", argsJson(s.numArgs, s.strArgs));
-            events.push_back({s.beginUs, order++, e.dump()});
+            events.push_back({s.beginUs, events.size(), e.dump()});
             stack.push_back(&s);
         }
         while (!stack.empty()) {
@@ -232,23 +231,24 @@ Tracer::writeChromeTrace(std::ostream &os) const
         e.set("s", JsonValue("t"));
         if (!i.strArgs.empty())
             e.set("args", argsJson({}, i.strArgs));
-        events.push_back({i.tsUs, static_cast<std::size_t>(-1),
-                          e.dump()});
+        events.push_back({i.tsUs, events.size(), e.dump()});
     }
 
     for (const TraceCounter &c : counters) {
         JsonValue e = baseEvent("C", c.pid, c.tid, c.tsUs, c.name);
         e.set("args", argsJson(c.values, {}));
-        events.push_back({c.tsUs, static_cast<std::size_t>(-1),
-                          e.dump()});
+        events.push_back({c.tsUs, events.size(), e.dump()});
     }
 
-    // Global timestamp sort; stable so each lane's nesting-correct
-    // relative order survives timestamp ties.
-    std::stable_sort(events.begin(), events.end(),
-                     [](const ChromeEvent &a, const ChromeEvent &b) {
-                         return a.ts < b.ts;
-                     });
+    // Global timestamp sort; ties keep insertion order, so each lane's
+    // nesting-correct relative order survives. A total order, so a
+    // plain sort needs no stable_sort temporary buffer.
+    std::sort(events.begin(), events.end(),
+              [](const ChromeEvent &a, const ChromeEvent &b) {
+                  if (a.ts != b.ts)
+                      return a.ts < b.ts;
+                  return a.index < b.index;
+              });
 
     os << "{\"schema\":\"pimhe-chrome-trace/v1\",";
     os << "\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
@@ -302,12 +302,13 @@ Tracer::writeJsonl(std::ostream &os) const
         instants = instants_;
         counters = counters_;
     }
-    std::stable_sort(spans.begin(), spans.end(),
-                     [](const TraceSpan &a, const TraceSpan &b) {
-                         if (a.beginUs != b.beginUs)
-                             return a.beginUs < b.beginUs;
-                         return a.seq < b.seq;
-                     });
+    // (begin, seq) is a total order: seq is unique per recorded span.
+    std::sort(spans.begin(), spans.end(),
+              [](const TraceSpan &a, const TraceSpan &b) {
+                  if (a.beginUs != b.beginUs)
+                      return a.beginUs < b.beginUs;
+                  return a.seq < b.seq;
+              });
 
     JsonValue header = JsonValue::makeObject();
     header.set("kind", JsonValue("header"));

@@ -133,17 +133,6 @@ struct TwoTrackClock
         serialMs += kernelPlusOverheadMs;
     }
 
-    /** Both halves back to back (a fully synchronous launch). */
-    PipelineSpan
-    chargeLaunch(double uploadMs, double kernelPlusOverheadMs,
-                 bool synchronous, std::size_t launch_index)
-    {
-        PipelineSpan span =
-            chargeUpload(uploadMs, synchronous, launch_index);
-        chargeKernel(span, kernelPlusOverheadMs);
-        return span;
-    }
-
     /** Charge a download that depends on a kernel ending at
      *  `readyMs` (0 for pre-launch downloads). Returns begin time. */
     double
@@ -211,16 +200,10 @@ class PipelineEngine
     /** Block until job `seq` has completed. */
     void waitFor(std::size_t seq);
 
-    /** Block until every submitted job has completed. */
-    void waitAll();
-
-    std::size_t submittedCount() const;
-    std::size_t completedCount() const;
-
   private:
     void workerLoop();
 
-    mutable std::mutex m_;
+    std::mutex m_;
     std::condition_variable workCv_; //!< worker wakes on submit/stop
     std::condition_variable doneCv_; //!< waiters wake on completion
     std::deque<Job> queue_;

@@ -8,6 +8,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -87,9 +88,14 @@ class LaunchTicket
  * LaunchStats is bit-identical at any thread count; only the
  * wall-clock observability fields (hostWallMs, hostThreads) differ.
  *
- * Pipelined engine: launchAsync() hands the compute phase to a
- * single-worker FIFO pipeline (pim/pipeline.h) and returns a
- * LaunchTicket immediately, so the caller can stage launch N+1's
+ * One engine, two entry points. Every launch goes through the same
+ * three steps: submit (consume the staged uploads, charge the bus
+ * track, capture any verifier rejection), compute (the per-DPU body
+ * above), merge (checks, aggregation, accounting). launch() drains
+ * the pipeline and runs the three back to back on the caller thread;
+ * launchAsync() hands the compute step to a single-worker FIFO
+ * pipeline (pim/pipeline.h) and returns a LaunchTicket immediately,
+ * so the caller can stage launch N+1's
  * operands (copyToMramAsync into a disjoint double-buffered region)
  * while launch N simulates. Determinism is preserved by construction:
  * every modelled charge — upload consumption, verification, post-join
@@ -170,46 +176,38 @@ class DpuSet
     }
 
     /**
-     * Host download from one DPU's MRAM. The modelled transfer time is
-     * charged to the most recent launch's dpuToHostMs; downloads
-     * issued before any launch (e.g. readback of staged inputs) are
-     * accounted explicitly in preLaunchDownloadMs() instead of being
-     * silently dropped. Drains the async pipeline first.
+     * Host download from one DPU's MRAM, charged to the launch that
+     * produced the bytes. With no `producer` named, the pipeline is
+     * drained first and the modelled transfer time goes to the most
+     * recent launch's dpuToHostMs; downloads issued before any launch
+     * (e.g. readback of staged inputs) are accounted explicitly in
+     * preLaunchDownloadMs() instead of being silently dropped.
+     *
+     * Naming a producer charges THAT launch (not launches().back(),
+     * which may already be a younger pipelined launch) and does not
+     * drain, so harvesting launch N's output can overlap launch N+1's
+     * compute; the producer must have been merged — wait() on its
+     * ticket first — and the caller promises the range is disjoint
+     * from in-flight footprints, as with copyToMramAsync.
      */
     void
     copyFromMram(std::size_t dpu, std::uint64_t addr,
-                 std::span<std::uint8_t> bytes)
+                 std::span<std::uint8_t> bytes,
+                 std::optional<std::size_t> producer = std::nullopt)
     {
-        drainAsync();
+        if (!producer) {
+            drainAsync();
+            if (!launches_.empty())
+                producer = launches_.size() - 1;
+        } else {
+            PIMHE_ASSERT(*producer < launches_.size(),
+                         "copyFromMram: launch ", *producer,
+                         " not merged yet — wait() on its ticket first");
+        }
         dpuAt(dpu).mram().read(addr, bytes.data(), bytes.size());
         chargeDownload(dpu, bytes.size(),
-                       launches_.empty()
-                           ? -1
-                           : static_cast<std::ptrdiff_t>(
-                                 launches_.size() - 1));
-    }
-
-    /**
-     * Pipelined download of a specific launch's results: reads the
-     * range and charges the modelled time to THAT launch (not
-     * launches().back(), which may already be a younger pipelined
-     * launch). The launch must have been merged — wait() on its
-     * ticket first. Does not drain the pipeline, so harvesting launch
-     * N's output can overlap launch N+1's compute; the caller
-     * promises the range is disjoint from in-flight footprints, as
-     * with copyToMramAsync.
-     */
-    void
-    copyFromMramForLaunch(std::size_t dpu, std::uint64_t addr,
-                          std::span<std::uint8_t> bytes,
-                          std::size_t launch_index)
-    {
-        PIMHE_ASSERT(launch_index < launches_.size(),
-                     "copyFromMramForLaunch: launch ", launch_index,
-                     " not merged yet — wait() on its ticket first");
-        dpuAt(dpu).mram().read(addr, bytes.data(), bytes.size());
-        chargeDownload(dpu, bytes.size(),
-                       static_cast<std::ptrdiff_t>(launch_index));
+                       producer ? static_cast<std::ptrdiff_t>(*producer)
+                                : -1);
     }
 
     /** Broadcast the same bytes into every DPU's MRAM. Drains the
@@ -259,11 +257,7 @@ class DpuSet
     const LaunchStats &
     launch(unsigned num_tasklets, const Kernel &kernel)
     {
-        CompiledKernel ck;
-        ck.name = "<interpreter-only>";
-        ck.interpret = kernel;
-        ck.waiver = "plain Kernel launch carries no fast body";
-        return launch(num_tasklets, ck);
+        return launch(num_tasklets, interpreterOnly(kernel));
     }
 
     /**
@@ -277,28 +271,7 @@ class DpuSet
     const LaunchStats &
     launch(unsigned num_tasklets, const CompiledKernel &kernel)
     {
-        drainAsync();
-        obs::Tracer &tracer = obs::Tracer::global();
-        obs::ScopedSpan host_span(tracer, 0, "DpuSet::launch");
-
-        LaunchStats stats = beginLaunchStats(kernel, /*async=*/false);
-        Timer wall;
-        pool_->parallelFor(dpus_.size(), [&](std::size_t i) {
-            obs::ScopedSpan dpu_span(tracer, i + 1, "dpu.run");
-            stats.dpus[i] =
-                dpus_[i]->run(num_tasklets, kernel, execMode_,
-                              /*defer_fail_fast=*/true);
-            dpu_span.arg("dpu", static_cast<double>(i));
-            dpu_span.arg("cycles", stats.dpus[i].cycles);
-        });
-        stats.hostWallMs = wall.elapsedMs();
-
-        const LaunchStats &merged = finalizeLaunch(
-            std::move(stats), num_tasklets, /*async=*/false);
-        host_span.arg("tasklets", static_cast<double>(num_tasklets));
-        host_span.arg("dpus", static_cast<double>(dpus_.size()));
-        host_span.arg("kernel_ms", merged.kernelMs);
-        return merged;
+        return launchSync(num_tasklets, kernel, std::string());
     }
 
     /**
@@ -390,8 +363,7 @@ class DpuSet
     /**
      * Verified launch: when cfg.verifyBeforeLaunch is set, run the
      * whole pre-launch static stack against this set's DpuConfig and
-     * panic — before any simulated cycle or modelled transfer — if
-     * the plan is unsafe:
+     * panic — before any simulated cycle — if the plan is unsafe:
      *
      *  1. LaunchVerifier budget checks (WRAM/MRAM/DMA/tasklets);
      *  2. the symbolic race prover at the planned tasklet count, when
@@ -412,9 +384,7 @@ class DpuSet
     launch(unsigned num_tasklets, const Kernel &kernel,
            const analysis::KernelFootprint &footprint)
     {
-        drainAsync();
-        preLaunchVerify(num_tasklets, footprint);
-        return launch(num_tasklets, kernel);
+        return launch(num_tasklets, interpreterOnly(kernel), footprint);
     }
 
     /**
@@ -423,30 +393,20 @@ class DpuSet
      * launch, then execution honours this set's ExecMode. All three
      * analyses run against the interpreter-side model regardless of
      * mode, so fast-path launches keep their static guarantees and
-     * shadow launches additionally keep the dynamic checker.
+     * shadow launches additionally keep the dynamic checker. A
+     * rejection panics at the launch's merge, before its compute.
      */
     const LaunchStats &
     launch(unsigned num_tasklets, const CompiledKernel &kernel,
            const analysis::KernelFootprint &footprint)
     {
         drainAsync();
-        preLaunchVerify(num_tasklets, footprint);
-        return launch(num_tasklets, kernel);
+        return launchSync(num_tasklets, kernel,
+                          preLaunchVerifyCaptured(num_tasklets,
+                                                  footprint));
     }
 
   private:
-    /** Synchronous wrapper: run the static stack, panic on rejection
-     *  immediately (before any simulated cycle). */
-    void
-    preLaunchVerify(unsigned num_tasklets,
-                    const analysis::KernelFootprint &footprint)
-    {
-        const std::string failure =
-            preLaunchVerifyCaptured(num_tasklets, footprint);
-        if (!failure.empty())
-            panic(failure);
-    }
-
     /**
      * The verifyBeforeLaunch static stack shared by the verified
      * launch overloads (see the Kernel overload's contract). Returns
@@ -759,31 +719,49 @@ class DpuSet
         return static_cast<double>(bytes) / (gbps * 1e6);
     }
 
-    /** One submitted-but-unmerged async launch. `stats.dpus` is the
-     *  only field the pipeline worker writes; everything else is
-     *  caller-thread state frozen at submission. */
-    struct PendingAsync
+    /** One submitted-but-unmerged launch. `stats.dpus` and
+     *  `stats.hostWallMs` are the only fields the compute body writes;
+     *  everything else is caller-thread state frozen at submission. */
+    struct PendingLaunch
     {
         LaunchStats stats;
         unsigned tasklets = 0;
-        std::size_t launchIndex = 0;
-        std::size_t engineSeq = 0;
-        bool hasJob = false;          //!< false for rejected launches
-        std::string verifyFailure;    //!< deferred rejection diagnostic
+        bool async = false;
+        std::size_t engineSeq = 0; //!< pipeline job (async only)
+        std::string verifyFailure; //!< deferred rejection diagnostic
     };
 
-    /** Shared launch-stats setup: consume the staged uploads into
-     *  this launch's hostToDpuMs and freeze the modelled metadata.
-     *  Runs on the caller thread at the launch/submit program point —
-     *  the same point for both engines, which is what makes the
-     *  modelled fields bit-identical between them. The upload is also
-     *  charged onto the pipeline's bus track HERE, at submission: in
-     *  an async stream launch N+1's upload lands on the bus while
-     *  launch N's kernel is still in flight — the modelled overlap. */
-    LaunchStats
-    beginLaunchStats(const CompiledKernel &kernel, bool async)
+    /** Wrap a plain interpreter kernel for the compiled launch path. */
+    static CompiledKernel
+    interpreterOnly(const Kernel &kernel)
     {
-        LaunchStats stats;
+        CompiledKernel ck;
+        ck.name = "<interpreter-only>";
+        ck.interpret = kernel;
+        ck.waiver = "plain Kernel launch carries no fast body";
+        return ck;
+    }
+
+    /**
+     * The submit step shared by both engines: consume the staged
+     * uploads into this launch's hostToDpuMs and freeze the modelled
+     * metadata, on the caller thread at the launch/submit program
+     * point — the same point for both engines, which is what makes
+     * the modelled fields bit-identical between them. The upload is
+     * also charged onto the pipeline's bus track HERE: in an async
+     * stream launch N+1's upload lands on the bus while launch N's
+     * kernel is still in flight — the modelled overlap — while a
+     * synchronous launch first aligns both tracks (a full barrier).
+     */
+    PendingLaunch
+    beginLaunch(unsigned num_tasklets, const CompiledKernel &kernel,
+                std::string verify_failure, bool async)
+    {
+        PendingLaunch rec;
+        rec.tasklets = num_tasklets;
+        rec.async = async;
+        rec.verifyFailure = std::move(verify_failure);
+        LaunchStats &stats = rec.stats;
         stats.launchOverheadMs = cfg_.launchOverheadUs / 1e3;
         stats.hostToDpuMs = transferMs(
             pendingUploadBytes_,
@@ -807,16 +785,44 @@ class DpuSet
                 span.uploadBeginMs, span.uploadEndMs,
                 span.launchIndex, async));
         pendingPipeSpans_.push_back(span);
-        return stats;
+        return rec;
     }
 
-    /** Post-join aggregation shared by both engines: conflict/shadow
-     *  scan in DPU index order, cycle maximum, observability and the
-     *  pipeline clock — all on the caller thread. */
-    const LaunchStats &
-    finalizeLaunch(LaunchStats stats, unsigned num_tasklets,
-                   bool async)
+    /**
+     * The one per-DPU compute body: simulate every DPU across the
+     * host pool into the launch's private per-DPU slots. Runs inline
+     * on the caller thread for a synchronous launch and on the
+     * pipeline worker for an async one; it touches no shared modelled
+     * state, so where it runs cannot move a modelled number.
+     */
+    void
+    computeLaunch(LaunchStats &stats, unsigned num_tasklets,
+                  const CompiledKernel &kernel)
     {
+        obs::Tracer &tracer = obs::Tracer::global();
+        Timer wall;
+        pool_->parallelFor(dpus_.size(), [&](std::size_t i) {
+            obs::ScopedSpan dpu_span(tracer, i + 1, "dpu.run");
+            stats.dpus[i] =
+                dpus_[i]->run(num_tasklets, kernel, execMode_,
+                              /*defer_fail_fast=*/true);
+            dpu_span.arg("dpu", static_cast<double>(i));
+            dpu_span.arg("cycles", stats.dpus[i].cycles);
+        });
+        stats.hostWallMs = wall.elapsedMs();
+    }
+
+    /** The merge step shared by both engines, on the caller thread in
+     *  submission order: a deferred verifier rejection panics first
+     *  (the launch never computed), then the conflict/shadow scan in
+     *  DPU index order, cycle maximum, observability and the pipeline
+     *  clock. */
+    const LaunchStats &
+    finalizeLaunch(PendingLaunch rec)
+    {
+        if (!rec.verifyFailure.empty())
+            panic(rec.verifyFailure);
+        LaunchStats &stats = rec.stats;
         for (std::size_t i = 0; i < stats.dpus.size(); ++i) {
             if (!stats.dpus[i].shadowDivergence.empty())
                 panic("shadow-mode divergence: dpu ", i, ", ",
@@ -829,71 +835,70 @@ class DpuSet
         }
         stats.kernelMs = stats.maxCycles / (cfg_.dpu.clockMhz * 1e3);
 
-        recordLaunchObservability(stats, num_tasklets);
-        recordPipelineLaunch(stats, async);
+        recordLaunchObservability(stats, rec.tasklets);
+        recordPipelineLaunch(stats, rec.async);
         launches_.push_back(std::move(stats));
         return launches_.back();
     }
 
-    /** Enqueue one async launch (see launchAsync). */
+    /** Synchronous launch: the async engine's submit, compute and
+     *  merge steps back to back on the caller thread. */
+    const LaunchStats &
+    launchSync(unsigned num_tasklets, const CompiledKernel &kernel,
+               std::string verify_failure)
+    {
+        drainAsync();
+        obs::ScopedSpan host_span(obs::Tracer::global(), 0,
+                                  "DpuSet::launch");
+        PendingLaunch rec = beginLaunch(
+            num_tasklets, kernel, std::move(verify_failure),
+            /*async=*/false);
+        if (rec.verifyFailure.empty())
+            computeLaunch(rec.stats, num_tasklets, kernel);
+        const LaunchStats &merged = finalizeLaunch(std::move(rec));
+        host_span.arg("tasklets", static_cast<double>(num_tasklets));
+        host_span.arg("dpus", static_cast<double>(dpus_.size()));
+        host_span.arg("kernel_ms", merged.kernelMs);
+        return merged;
+    }
+
+    /** Enqueue one async launch (see launchAsync): the same submit
+     *  step, with the compute body posted to the pipeline worker. */
     LaunchTicket
     submitAsync(unsigned num_tasklets, const CompiledKernel &kernel,
                 std::string verify_failure)
     {
-        PendingAsync pending;
-        pending.tasklets = num_tasklets;
-        pending.launchIndex = launches_.size() + pendingAsync_.size();
-        pending.verifyFailure = std::move(verify_failure);
-        pending.stats = beginLaunchStats(kernel, /*async=*/true);
-        pendingAsync_.push_back(std::move(pending));
+        const std::size_t index = launches_.size() + pendingAsync_.size();
+        pendingAsync_.push_back(beginLaunch(num_tasklets, kernel,
+                                            std::move(verify_failure),
+                                            /*async=*/true));
         // std::deque never invalidates references on push/pop at the
         // other end, so the worker's pointer into this record stays
         // valid until mergeNextAsync() pops it — after waitFor().
-        PendingAsync &rec = pendingAsync_.back();
-
-        if (rec.verifyFailure.empty()) {
-            rec.hasJob = true;
+        PendingLaunch &rec = pendingAsync_.back();
+        if (rec.verifyFailure.empty())
             rec.engineSeq = pipeline().submit(
                 [this, kernel, num_tasklets, stats = &rec.stats] {
-                    obs::Tracer &tracer = obs::Tracer::global();
-                    obs::ScopedSpan span(tracer, kAsyncWorkerTid,
+                    obs::ScopedSpan span(obs::Tracer::global(),
+                                         kAsyncWorkerTid,
                                          "async.compute");
-                    Timer wall;
-                    pool_->parallelFor(
-                        dpus_.size(), [&](std::size_t i) {
-                            obs::ScopedSpan dpu_span(tracer, i + 1,
-                                                     "dpu.run");
-                            stats->dpus[i] = dpus_[i]->run(
-                                num_tasklets, kernel, execMode_,
-                                /*defer_fail_fast=*/true);
-                            dpu_span.arg("dpu",
-                                         static_cast<double>(i));
-                            dpu_span.arg("cycles",
-                                         stats->dpus[i].cycles);
-                        });
-                    stats->hostWallMs = wall.elapsedMs();
+                    computeLaunch(*stats, num_tasklets, kernel);
                 });
-        }
-        return LaunchTicket(this, rec.launchIndex);
+        return LaunchTicket(this, index);
     }
 
-    /** Merge the oldest pending async launch (submission order). */
+    /** Merge the oldest pending async launch (submission order). A
+     *  rejected launch has no pipeline job; it panics in the merge. */
     void
     mergeNextAsync()
     {
         PIMHE_ASSERT(!pendingAsync_.empty(),
                      "mergeNextAsync with an empty pipeline");
-        PendingAsync &front = pendingAsync_.front();
-        if (!front.verifyFailure.empty())
-            // Deferred pre-launch rejection: surfaces at the first
-            // merge point after submission, with the synchronous
-            // diagnostic. (The process panics; no pop needed.)
-            panic(front.verifyFailure);
-        pipeline().waitFor(front.engineSeq);
-        LaunchStats stats = std::move(front.stats);
-        const unsigned tasklets = front.tasklets;
+        if (pendingAsync_.front().verifyFailure.empty())
+            pipeline().waitFor(pendingAsync_.front().engineSeq);
+        PendingLaunch rec = std::move(pendingAsync_.front());
         pendingAsync_.pop_front();
-        finalizeLaunch(std::move(stats), tasklets, /*async=*/true);
+        finalizeLaunch(std::move(rec));
     }
 
     /** Lazily-started pipeline worker. */
@@ -1019,7 +1024,7 @@ class DpuSet
 
     /**
      * Complete the pipeline schedule of one merging launch: its upload
-     * was charged at submission (beginLaunchStats); the kernel half is
+     * was charged at submission (beginLaunch); the kernel half is
      * charged now, in submission order, and the finished span is
      * emitted on the pipelined trace lanes. A synchronous launch
      * aligned the tracks at its upload, so sync-only histories have
@@ -1051,7 +1056,7 @@ class DpuSet
     std::unique_ptr<ThreadPool> pool_;
     std::vector<std::unique_ptr<Dpu>> dpus_;
     std::vector<LaunchStats> launches_;
-    std::deque<PendingAsync> pendingAsync_;
+    std::deque<PendingLaunch> pendingAsync_;
     PipelineStats pipeStats_;
     /** Upload-charged spans awaiting their kernel half (FIFO, one per
      *  submitted-but-unmerged launch; caller thread only). */

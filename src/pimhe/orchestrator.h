@@ -9,16 +9,19 @@
  * simulator is functional), and every launch leaves a modelled-time
  * record behind.
  *
- * Two orchestration modes coexist:
+ * Operations come in two shapes:
  *
- *  - the staged mode (addCiphertextVectors, mulCoefficientwise,
- *    reduceCiphertextsStaged) uploads operands before every launch
- *    and downloads every result — the paper's measurement setup;
- *  - the resident mode (makeResident and the *Resident operations)
- *    keeps ciphertexts pinned in MRAM between launches through the
- *    cache in resident.h, so chained pipelines pay the bus once per
- *    operand instead of once per operation. reduceCiphertexts uses it
- *    to run a whole tree reduction as one upload, log2(n) in-place
+ *  - staged elementwise ops (addCiphertextVectors, mulCoefficientwise
+ *    and their pipelined twins addAsync/mulAsync) upload operands
+ *    before the launch and download the results — the paper's
+ *    measurement setup. One stager and one collect routine serve
+ *    both; the sync op is the async one with a fresh scratch region
+ *    and a synchronous launch;
+ *  - resident ops (makeResident and the *Resident operations) keep
+ *    ciphertexts pinned in MRAM between launches through the cache in
+ *    resident.h, so chained pipelines pay the bus once per operand
+ *    instead of once per operation. reduceCiphertexts, the one
+ *    reduction, runs a whole tree as one upload, log2(n) in-place
  *    launches, and one download.
  */
 
@@ -100,8 +103,8 @@ class PimHeSystem
     addCiphertextVectors(const std::vector<Ciphertext<N>> &a,
                          const std::vector<Ciphertext<N>> &b)
     {
-        return elementwise(std::span(a), std::span(b),
-                           /*multiply=*/false);
+        return elementwise(a, b, /*multiply=*/false, /*async=*/false)
+            .get();
     }
 
     /**
@@ -113,16 +116,16 @@ class PimHeSystem
     mulCoefficientwise(const std::vector<Ciphertext<N>> &a,
                        const std::vector<Ciphertext<N>> &b)
     {
-        return elementwise(std::span(a), std::span(b),
-                           /*multiply=*/true);
+        return elementwise(a, b, /*multiply=*/true, /*async=*/false)
+            .get();
     }
 
     // ------------------------------------------------------------------
     // Pipelined asynchronous operations.
     //
-    // The async ops run the SAME staged computation as their
-    // synchronous twins, but through DpuSet::launchAsync and a
-    // double-buffered staging pair: while launch N simulates on the
+    // The async ops run the SAME stager, kernels and collect routine
+    // as their synchronous twins, but through DpuSet::launchAsync and
+    // a double-buffered staging pair: while launch N simulates on the
     // pipeline worker, the caller flattens and uploads launch N+1's
     // operands into the other slot. Every modelled number — each
     // launch's LaunchStats, the transfer totals, verifier reports —
@@ -134,7 +137,7 @@ class PimHeSystem
     // ------------------------------------------------------------------
 
   private:
-    struct AsyncOpState;
+    struct StagedOp;
 
   public:
     /**
@@ -157,7 +160,7 @@ class PimHeSystem
         launchIndex() const
         {
             PIMHE_ASSERT(state_, "launchIndex() on empty AsyncOp");
-            return state_->ticket.launchIndex();
+            return state_->launchIndex;
         }
 
         /** Wait, download (once) and take the results. */
@@ -175,12 +178,12 @@ class PimHeSystem
 
       private:
         friend PimHeSystem;
-        AsyncOp(PimHeSystem *sys, std::shared_ptr<AsyncOpState> state)
+        AsyncOp(PimHeSystem *sys, std::shared_ptr<StagedOp> state)
             : sys_(sys), state_(std::move(state))
         {}
 
         PimHeSystem *sys_ = nullptr;
-        std::shared_ptr<AsyncOpState> state_;
+        std::shared_ptr<StagedOp> state_;
     };
 
     /** Pipelined homomorphic addition (see addCiphertextVectors). */
@@ -188,8 +191,7 @@ class PimHeSystem
     addAsync(const std::vector<Ciphertext<N>> &a,
              const std::vector<Ciphertext<N>> &b)
     {
-        return elementwiseAsync(std::span(a), std::span(b),
-                                /*multiply=*/false);
+        return elementwise(a, b, /*multiply=*/false, /*async=*/true);
     }
 
     /** Pipelined coefficient-wise product (see mulCoefficientwise). */
@@ -197,103 +199,7 @@ class PimHeSystem
     mulAsync(const std::vector<Ciphertext<N>> &a,
              const std::vector<Ciphertext<N>> &b)
     {
-        return elementwiseAsync(std::span(a), std::span(b),
-                                /*multiply=*/true);
-    }
-
-    /**
-     * Pipelined streaming reduction: a device-side accumulator is
-     * folded ct-by-ct with in-place adds while the NEXT operand's
-     * upload overlaps the current add — the classic transfer-hiding
-     * pipeline. One upload per operand, one download at the end.
-     * Exact modular addition makes the left fold bit-identical to
-     * reduceCiphertexts' tree fold at any pipeline depth.
-     */
-    Ciphertext<N>
-    reduceCiphertextsPipelined(const std::vector<Ciphertext<N>> &cts)
-    {
-        PIMHE_ASSERT(!cts.empty(), "empty reduction");
-        obs::ScopedSpan span(obs::Tracer::global(), 0,
-                             "pimhe.pipelined_reduce");
-        span.arg("cts", static_cast<double>(cts.size()));
-        bumpOpCounter("pimhe.ops.pipelined_reduce");
-        if (cts.size() == 1)
-            return cts.front();
-
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = cts.front().size();
-        for (const auto &ct : cts)
-            PIMHE_ASSERT(ct.size() == comps,
-                         "ragged ciphertext vector in reduction");
-        const std::size_t num_dpus = dpus_.size();
-        const std::size_t total_elems = comps * n;
-        const std::size_t per_dpu =
-            (total_elems + num_dpus - 1) / num_dpus;
-        const std::size_t arr_bytes =
-            (per_dpu * N * 4 + 7) / 8 * 8;
-
-        // Accumulator + double-buffered operand slots, all from the
-        // resident arena (eviction pressure included).
-        const std::uint64_t acc = cache_.allocScratch(arr_bytes);
-        pim::DoubleBuffer slots =
-            cache_.allocScratchDouble(arr_bytes);
-
-        const std::span<const Ciphertext<N>> all(cts);
-        std::vector<std::uint8_t> buf(num_dpus * arr_bytes);
-
-        // Seed the accumulator with ct 0 (no kernel involved).
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            flattenSlice(all.subspan(0, 1), d * per_dpu, per_dpu,
-                         sliceOf(buf, d, arr_bytes));
-        });
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyToMram(d, acc, sliceOf(buf, d, arr_bytes));
-
-        // Streaming fold: upload ct i into the free slot while the
-        // previous add still runs; a slot is reused only after the
-        // launch that read it completed (ticket two steps back).
-        pim::LaunchTicket slotTicket[2];
-        pim::LaunchTicket last;
-        for (std::size_t i = 1; i < cts.size(); ++i) {
-            const unsigned p = slots.turn & 1u;
-            if (slotTicket[p].valid())
-                slotTicket[p].wait();
-            dpus_.hostPool().parallelFor(
-                num_dpus, [&](std::size_t d) {
-                    flattenSlice(all.subspan(i, 1), d * per_dpu,
-                                 per_dpu, sliceOf(buf, d, arr_bytes));
-                });
-            for (std::size_t d = 0; d < num_dpus; ++d)
-                dpus_.copyToMramAsync(d, slots.front(),
-                                      sliceOf(buf, d, arr_bytes));
-
-            pimhe_kernels::VecKernelParams kp =
-                vecParams(acc, slots.front(), acc, per_dpu);
-            dpus_.plan().declareWriteTarget(
-                ResidentCache<N>::scratchPlanId(acc));
-            slotTicket[p] = dpus_.launchAsync(
-                tasklets_, pimhe_kernels::compiledVecAddModQ(kp),
-                pimhe_kernels::reduceRoundFootprint(
-                    kp, dpus_.config().dpu, tasklets_));
-            last = slotTicket[p];
-            slots.flip();
-        }
-
-        last.wait();
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyFromMramForLaunch(d, acc,
-                                        sliceOf(buf, d, arr_bytes),
-                                        last.launchIndex());
-        std::vector<Ciphertext<N>> out(1);
-        for (std::size_t c = 0; c < comps; ++c)
-            out.front().comps.emplace_back(n);
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            unflattenSlice(sliceOf(buf, d, arr_bytes), d * per_dpu,
-                           per_dpu, out);
-        });
-        cache_.freeScratchDouble(slots);
-        cache_.freeScratch(acc);
-        return std::move(out.front());
+        return elementwise(a, b, /*multiply=*/true, /*async=*/true);
     }
 
     /**
@@ -445,7 +351,8 @@ class PimHeSystem
      * Sum a vector of ciphertexts into one (homomorphic reduction).
      * Runs the resident tree reduction — upload once, fold in MRAM,
      * download once. Used by the statistical workloads (arithmetic
-     * mean, variance).
+     * mean, variance). A staged tree is just rounds of
+     * addCiphertextVectors and needs no entry point of its own.
      */
     Ciphertext<N>
     reduceCiphertexts(const std::vector<Ciphertext<N>> &cts)
@@ -454,31 +361,6 @@ class PimHeSystem
         Ciphertext<N> out = materialize(h);
         dropResident(h);
         return out;
-    }
-
-    /**
-     * The pre-resident reduction: tree of staged vector adds, every
-     * round re-uploading its operands and downloading its sums. Kept
-     * as the baseline the ablation bench (and the differential tests)
-     * compare the resident path against.
-     */
-    Ciphertext<N>
-    reduceCiphertextsStaged(const std::vector<Ciphertext<N>> &cts)
-    {
-        PIMHE_ASSERT(!cts.empty(), "empty reduction");
-        std::vector<Ciphertext<N>> cur = cts;
-        while (cur.size() > 1) {
-            const std::size_t half = cur.size() / 2;
-            // Views into the working vector — no lo/hi copies.
-            auto sums = elementwise(
-                std::span<const Ciphertext<N>>(cur.data(), half),
-                std::span<const Ciphertext<N>>(cur.data() + half, half),
-                /*multiply=*/false);
-            if (cur.size() % 2)
-                sums.push_back(std::move(cur.back()));
-            cur = std::move(sums);
-        }
-        return cur.front();
     }
 
     // ------------------------------------------------------------------
@@ -883,122 +765,31 @@ class PimHeSystem
         return {out};
     }
 
-    std::vector<Ciphertext<N>>
-    elementwise(std::span<const Ciphertext<N>> a,
-                std::span<const Ciphertext<N>> b, bool multiply)
-    {
-        PIMHE_ASSERT(a.size() == b.size() && !a.empty(),
-                     "operand vectors must be equal-length, non-empty");
-        obs::Tracer &tracer = obs::Tracer::global();
-        obs::ScopedSpan op_span(tracer, 0,
-                                multiply ? "pimhe.vec_mul"
-                                         : "pimhe.vec_add");
-        op_span.arg("cts", static_cast<double>(a.size()));
-        {
-            obs::Registry &reg = obs::Registry::global();
-            if (reg.enabled()) {
-                static obs::Counter adds =
-                    reg.counter("pimhe.ops.vec_add");
-                static obs::Counter muls =
-                    reg.counter("pimhe.ops.vec_mul");
-                (multiply ? muls : adds).add(1);
-            }
-        }
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = a.front().size();
-        for (std::size_t i = 0; i < a.size(); ++i)
-            PIMHE_ASSERT(a[i].size() == comps && b[i].size() == comps,
-                         "ragged ciphertext vectors");
-
-        // Flatten into per-DPU balanced coefficient arrays (padded
-        // with zeros so every DPU runs the same shape).
-        const std::size_t total_elems = a.size() * comps * n;
-        const std::size_t num_dpus = dpus_.size();
-        const std::size_t per_dpu =
-            (total_elems + num_dpus - 1) / num_dpus;
-        const std::size_t elem_bytes = N * 4;
-        // Round the per-DPU region stride up to the 8-byte DMA
-        // granularity so every kernel transfer is aligned.
-        const std::size_t arr_bytes =
-            (per_dpu * elem_bytes + 7) / 8 * 8;
-
-        // Scratch comes from the same arena the resident cache
-        // manages, so staged launches coexist with (and can evict)
-        // resident entries instead of silently overwriting them.
-        const std::uint64_t scratch =
-            cache_.allocScratch(3 * arr_bytes);
-        pimhe_kernels::VecKernelParams kp =
-            vecParams(scratch, scratch + arr_bytes,
-                      scratch + 2 * arr_bytes, per_dpu);
-
-        // Stage operands: flatten every DPU's slice concurrently into
-        // disjoint regions of one buffer, then issue the MRAM copies
-        // in DPU order so transfer accounting stays deterministic.
-        {
-            obs::ScopedSpan stage_span(tracer, 0, "pimhe.stage");
-            std::vector<std::uint8_t> abuf(num_dpus * arr_bytes);
-            std::vector<std::uint8_t> bbuf(num_dpus * arr_bytes);
-            dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-                flattenSlice(a, d * per_dpu, per_dpu,
-                             sliceOf(abuf, d, arr_bytes));
-                flattenSlice(b, d * per_dpu, per_dpu,
-                             sliceOf(bbuf, d, arr_bytes));
-            });
-            for (std::size_t d = 0; d < num_dpus; ++d) {
-                dpus_.copyToMram(d, kp.mramA,
-                                 sliceOf(abuf, d, arr_bytes));
-                dpus_.copyToMram(d, kp.mramB,
-                                 sliceOf(bbuf, d, arr_bytes));
-            }
-        }
-
-        // The kernel writes the result third of the scratch region
-        // (operand reads of the other thirds are unconstrained).
-        dpus_.plan().declareWriteTarget(
-            ResidentCache<N>::scratchPlanId(scratch));
-        dpus_.launch(tasklets_,
-                     multiply
-                         ? pimhe_kernels::compiledVecMulModQ(kp)
-                         : pimhe_kernels::compiledVecAddModQ(kp),
-                     pimhe_kernels::vecKernelFootprint(
-                         kp, dpus_.config().dpu, tasklets_, multiply));
-
-        // Collect results: download in DPU order (accounting), then
-        // unflatten concurrently — each DPU's flat element range maps
-        // to disjoint output coefficients.
-        obs::ScopedSpan collect_span(tracer, 0, "pimhe.collect");
-        std::vector<Ciphertext<N>> out(a.size());
-        for (auto &ct : out)
-            for (std::size_t cidx = 0; cidx < comps; ++cidx)
-                ct.comps.emplace_back(n);
-        std::vector<std::uint8_t> obuf(num_dpus * arr_bytes);
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyFromMram(d, kp.mramOut,
-                               sliceOf(obuf, d, arr_bytes));
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            unflattenSlice(sliceOf(obuf, d, arr_bytes), d * per_dpu,
-                           per_dpu, out);
-        });
-        cache_.freeScratch(scratch);
-        return out;
-    }
-
     // ------------------------------------------------------------------
-    // Pipelined elementwise machinery.
+    // Staged elementwise machinery, shared by the sync and async ops.
     // ------------------------------------------------------------------
 
-    /** Shared state behind an AsyncOp handle. */
-    struct AsyncOpState
+    /** One staged elementwise op: where its operands and results live
+     *  and, once harvested, the results (the state behind AsyncOp). */
+    struct StagedOp
     {
-        pim::LaunchTicket ticket;
-        std::uint64_t outAddr = 0; //!< result third of the slot
-        std::size_t arrBytes = 0;  //!< per-DPU region stride
-        std::size_t perDpu = 0;    //!< elements per DPU
-        std::size_t count = 0;     //!< ciphertexts in the result
-        std::size_t comps = 0;     //!< components per ciphertext
+        std::size_t launchIndex = 0; //!< the producing launch
+        std::uint64_t region = 0;    //!< base of the A/B/Out thirds
+        std::size_t arrBytes = 0;    //!< per-DPU region stride
+        std::size_t perDpu = 0;      //!< elements per DPU
+        std::size_t count = 0;       //!< ciphertexts in the result
+        std::size_t comps = 0;       //!< components per ciphertext
         bool harvested = false;
         bool consumed = false;
         std::vector<Ciphertext<N>> results;
+    };
+
+    /** A staged op's launch arguments. */
+    struct StagedLaunch
+    {
+        pim::CompiledKernel kernel;
+        analysis::KernelFootprint footprint;
+        std::shared_ptr<StagedOp> op;
     };
 
     /**
@@ -1007,25 +798,34 @@ class PimHeSystem
      * (two ops later) only after the op that owns it was harvested,
      * which is what keeps one launch in flight while the next one
      * stages — the transfer/compute overlap the pipeline models.
+     * Synchronous ops never touch it: they stage into a scratch
+     * region of their own, so they leave the arena as they found it.
      */
     struct ElementwiseStager
     {
         bool active = false;
         std::uint64_t slotBytes = 0; //!< bytes per slot (3 thirds)
         pim::DoubleBuffer buf;
-        std::shared_ptr<AsyncOpState> owner[2];
+        std::shared_ptr<StagedOp> owner[2];
     };
 
-    /** (Re)allocate the staging pair for the given slot size. */
-    void
-    ensureStager(std::uint64_t slot_bytes)
+    /** The staging pair's free slot for the next async op: (re)
+     *  allocate the pair for this slot size, and harvest the op that
+     *  last owned the slot. */
+    std::uint64_t
+    stagerSlot(std::uint64_t slot_bytes)
     {
-        if (stager_.active && stager_.slotBytes == slot_bytes)
-            return;
-        finishElementwiseStager();
-        stager_.buf = cache_.allocScratchDouble(slot_bytes);
-        stager_.slotBytes = slot_bytes;
-        stager_.active = true;
+        if (!stager_.active || stager_.slotBytes != slot_bytes) {
+            finishElementwiseStager();
+            stager_.buf = cache_.allocScratchDouble(slot_bytes);
+            stager_.slotBytes = slot_bytes;
+            stager_.active = true;
+        }
+        auto &owner = stager_.owner[stager_.buf.turn & 1u];
+        if (owner && !owner->harvested)
+            harvest(*owner);
+        owner.reset();
+        return stager_.buf.front();
     }
 
     /** Harvest all outstanding async ops and free the staging pair.
@@ -1048,88 +848,58 @@ class PimHeSystem
     }
 
     /**
-     * Wait for an async op's launch and download its results. Runs on
-     * the caller thread; downloads charge the producing launch via
-     * copyFromMramForLaunch, so the accounting matches the point the
-     * synchronous path would have charged them.
+     * The one elementwise stager: shape checks, flatten into per-DPU
+     * balanced coefficient arrays (zero-padded so every DPU runs the
+     * same shape), upload, kernel choice, verifier footprint and the
+     * write-target declaration. `async` picks the region: the staging
+     * pair's free slot, or a fresh scratch region the synchronous
+     * caller frees after harvesting. Either region is disjoint from
+     * every in-flight launch's footprint, so the uploads never drain
+     * the pipeline. Both come from the arena the resident cache
+     * manages, so staged launches coexist with (and can evict)
+     * resident entries instead of silently overwriting them.
      */
-    void
-    harvest(AsyncOpState &st)
-    {
-        st.ticket.wait();
-        obs::ScopedSpan span(obs::Tracer::global(), 0,
-                             "pimhe.collect");
-        const std::size_t num_dpus = dpus_.size();
-        std::vector<Ciphertext<N>> out(st.count);
-        for (auto &ct : out)
-            for (std::size_t cidx = 0; cidx < st.comps; ++cidx)
-                ct.comps.emplace_back(ctx_.ring().degree());
-        std::vector<std::uint8_t> obuf(num_dpus * st.arrBytes);
-        for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyFromMramForLaunch(d, st.outAddr,
-                                        sliceOf(obuf, d, st.arrBytes),
-                                        st.ticket.launchIndex());
-        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            unflattenSlice(sliceOf(obuf, d, st.arrBytes),
-                           d * st.perDpu, st.perDpu, out);
-        });
-        st.results = std::move(out);
-        st.harvested = true;
-    }
-
-    /**
-     * Async twin of elementwise(): same shapes, same kernels, same
-     * verifier footprint — but operands stage into the double
-     * buffer's free slot with copyToMramAsync (no pipeline drain) and
-     * the kernel goes through launchAsync. At most two ops are in
-     * flight; submitting a third first harvests the op that owns the
-     * slot being reused.
-     */
-    AsyncOp
-    elementwiseAsync(std::span<const Ciphertext<N>> a,
-                     std::span<const Ciphertext<N>> b, bool multiply)
+    StagedLaunch
+    stage(const std::vector<Ciphertext<N>> &a,
+          const std::vector<Ciphertext<N>> &b, bool multiply, bool async)
     {
         PIMHE_ASSERT(a.size() == b.size() && !a.empty(),
                      "operand vectors must be equal-length, non-empty");
-        obs::Tracer &tracer = obs::Tracer::global();
-        obs::ScopedSpan op_span(tracer, 0,
-                                multiply ? "pimhe.vec_mul_async"
-                                         : "pimhe.vec_add_async");
-        op_span.arg("cts", static_cast<double>(a.size()));
-        bumpOpCounter(multiply ? "pimhe.ops.vec_mul_async"
-                               : "pimhe.ops.vec_add_async");
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = a.front().size();
+        auto op = std::make_shared<StagedOp>();
+        op->count = a.size();
+        op->comps = a.front().size();
         for (std::size_t i = 0; i < a.size(); ++i)
-            PIMHE_ASSERT(a[i].size() == comps && b[i].size() == comps,
+            PIMHE_ASSERT(a[i].size() == op->comps &&
+                             b[i].size() == op->comps,
                          "ragged ciphertext vectors");
 
-        const std::size_t total_elems = a.size() * comps * n;
         const std::size_t num_dpus = dpus_.size();
-        const std::size_t per_dpu =
-            (total_elems + num_dpus - 1) / num_dpus;
-        const std::size_t arr_bytes =
-            (per_dpu * N * 4 + 7) / 8 * 8;
+        const std::size_t total_elems =
+            a.size() * op->comps * ctx_.ring().degree();
+        op->perDpu = (total_elems + num_dpus - 1) / num_dpus;
+        // Round the per-DPU region stride up to the 8-byte DMA
+        // granularity so every kernel transfer is aligned.
+        op->arrBytes = (op->perDpu * N * 4 + 7) / 8 * 8;
+        const std::size_t arr_bytes = op->arrBytes;
+        op->region = async ? stagerSlot(3 * arr_bytes)
+                           : cache_.allocScratch(3 * arr_bytes);
+        const pimhe_kernels::VecKernelParams kp =
+            vecParams(op->region, op->region + arr_bytes,
+                      op->region + 2 * arr_bytes, op->perDpu);
 
-        ensureStager(3 * arr_bytes);
-        const unsigned slot = stager_.buf.turn & 1u;
-        if (stager_.owner[slot] && !stager_.owner[slot]->harvested)
-            harvest(*stager_.owner[slot]);
-        stager_.owner[slot].reset();
-
-        const std::uint64_t scratch = stager_.buf.front();
-        pimhe_kernels::VecKernelParams kp =
-            vecParams(scratch, scratch + arr_bytes,
-                      scratch + 2 * arr_bytes, per_dpu);
-
+        // Flatten every DPU's slice concurrently into disjoint regions
+        // of one buffer, then issue the MRAM copies in DPU order so
+        // transfer accounting stays deterministic.
         {
-            obs::ScopedSpan stage_span(tracer, 0, "pimhe.stage");
+            obs::ScopedSpan stage_span(obs::Tracer::global(), 0,
+                                       "pimhe.stage");
+            const std::span<const Ciphertext<N>> as(a), bs(b);
             std::vector<std::uint8_t> abuf(num_dpus * arr_bytes);
             std::vector<std::uint8_t> bbuf(num_dpus * arr_bytes);
             dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-                flattenSlice(a, d * per_dpu, per_dpu,
+                flattenSlice(as, d * op->perDpu, op->perDpu,
                              sliceOf(abuf, d, arr_bytes));
-                flattenSlice(b, d * per_dpu, per_dpu,
+                flattenSlice(bs, d * op->perDpu, op->perDpu,
                              sliceOf(bbuf, d, arr_bytes));
             });
             for (std::size_t d = 0; d < num_dpus; ++d) {
@@ -1140,23 +910,86 @@ class PimHeSystem
             }
         }
 
+        // The kernel writes the result third of the region (operand
+        // reads of the other thirds are unconstrained).
         dpus_.plan().declareWriteTarget(
-            ResidentCache<N>::scratchPlanId(scratch));
-        auto st = std::make_shared<AsyncOpState>();
-        st->ticket = dpus_.launchAsync(
-            tasklets_,
-            multiply ? pimhe_kernels::compiledVecMulModQ(kp)
-                     : pimhe_kernels::compiledVecAddModQ(kp),
-            pimhe_kernels::vecKernelFootprint(kp, dpus_.config().dpu,
-                                              tasklets_, multiply));
-        st->outAddr = kp.mramOut;
-        st->arrBytes = arr_bytes;
-        st->perDpu = per_dpu;
-        st->count = a.size();
-        st->comps = comps;
-        stager_.owner[slot] = st;
-        stager_.buf.flip();
-        return AsyncOp(this, std::move(st));
+            ResidentCache<N>::scratchPlanId(op->region));
+        return {multiply ? pimhe_kernels::compiledVecMulModQ(kp)
+                         : pimhe_kernels::compiledVecAddModQ(kp),
+                pimhe_kernels::vecKernelFootprint(
+                    kp, dpus_.config().dpu, tasklets_, multiply),
+                std::move(op)};
+    }
+
+    /**
+     * The one collect routine: wait for the op's launch, download its
+     * results in DPU order — charged to the producing launch, so the
+     * accounting is the same wherever the harvest happens — then
+     * unflatten concurrently (each DPU's flat element range maps to
+     * disjoint output coefficients).
+     */
+    void
+    harvest(StagedOp &op)
+    {
+        dpus_.waitLaunch(op.launchIndex);
+        obs::ScopedSpan span(obs::Tracer::global(), 0,
+                             "pimhe.collect");
+        const std::size_t num_dpus = dpus_.size();
+        std::vector<Ciphertext<N>> out(op.count);
+        for (auto &ct : out)
+            for (std::size_t cidx = 0; cidx < op.comps; ++cidx)
+                ct.comps.emplace_back(ctx_.ring().degree());
+        std::vector<std::uint8_t> obuf(num_dpus * op.arrBytes);
+        for (std::size_t d = 0; d < num_dpus; ++d)
+            dpus_.copyFromMram(d, op.region + 2 * op.arrBytes,
+                               sliceOf(obuf, d, op.arrBytes),
+                               op.launchIndex);
+        dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
+            unflattenSlice(sliceOf(obuf, d, op.arrBytes),
+                           d * op.perDpu, op.perDpu, out);
+        });
+        op.results = std::move(out);
+        op.harvested = true;
+    }
+
+    /**
+     * Elementwise add or coefficient-wise product of two ciphertext
+     * vectors. Synchronous: stage into a scratch region, launch,
+     * harvest, free the region — the returned op is already
+     * harvested. Async: stage into the staging pair's free slot,
+     * launchAsync, and leave the harvest to AsyncOp::get() (or to the
+     * op that next needs the slot). At most two async ops are in
+     * flight.
+     */
+    AsyncOp
+    elementwise(const std::vector<Ciphertext<N>> &a,
+                const std::vector<Ciphertext<N>> &b, bool multiply,
+                bool async)
+    {
+        static constexpr const char *kNames[2][2][2] = {
+            {{"pimhe.vec_add", "pimhe.ops.vec_add"},
+             {"pimhe.vec_mul", "pimhe.ops.vec_mul"}},
+            {{"pimhe.vec_add_async", "pimhe.ops.vec_add_async"},
+             {"pimhe.vec_mul_async", "pimhe.ops.vec_mul_async"}}};
+        const auto &names = kNames[async][multiply];
+        obs::ScopedSpan op_span(obs::Tracer::global(), 0, names[0]);
+        op_span.arg("cts", static_cast<double>(a.size()));
+        bumpOpCounter(names[1]);
+
+        StagedLaunch s = stage(a, b, multiply, async);
+        if (async) {
+            s.op->launchIndex =
+                dpus_.launchAsync(tasklets_, s.kernel, s.footprint)
+                    .launchIndex();
+            stager_.owner[stager_.buf.turn & 1u] = s.op;
+            stager_.buf.flip();
+        } else {
+            dpus_.launch(tasklets_, s.kernel, s.footprint);
+            s.op->launchIndex = dpus_.launches().size() - 1;
+            harvest(*s.op);
+            cache_.freeScratch(s.op->region);
+        }
+        return AsyncOp(this, std::move(s.op));
     }
 
     static std::span<std::uint8_t>

@@ -178,64 +178,136 @@ TEST(AsyncDifferential, AutoThreadResolutionKeepsTheContract)
     expectLaunchesIdentical(ref.launches, got.launches);
 }
 
+/** Bitwise comparison of the two-track pipeline accounting. */
+void
+expectPipelinesIdentical(const PipelineStats &ref,
+                         const PipelineStats &got)
+{
+    EXPECT_EQ(ref.clock.busCursorMs, got.clock.busCursorMs);
+    EXPECT_EQ(ref.clock.dpuCursorMs, got.clock.dpuCursorMs);
+    EXPECT_EQ(ref.clock.busBusyMs, got.clock.busBusyMs);
+    EXPECT_EQ(ref.clock.dpuBusyMs, got.clock.dpuBusyMs);
+    EXPECT_EQ(ref.clock.serialMs, got.clock.serialMs);
+    EXPECT_EQ(ref.asyncLaunches, got.asyncLaunches);
+    ASSERT_EQ(ref.spans.size(), got.spans.size());
+    for (std::size_t s = 0; s < ref.spans.size(); ++s) {
+        const PipelineSpan &a = ref.spans[s];
+        const PipelineSpan &b = got.spans[s];
+        SCOPED_TRACE("span " + std::to_string(s));
+        EXPECT_EQ(a.launchIndex, b.launchIndex);
+        EXPECT_EQ(a.uploadBeginMs, b.uploadBeginMs);
+        EXPECT_EQ(a.uploadEndMs, b.uploadEndMs);
+        EXPECT_EQ(a.kernelBeginMs, b.kernelBeginMs);
+        EXPECT_EQ(a.kernelEndMs, b.kernelEndMs);
+        EXPECT_EQ(a.downloadBeginMs, b.downloadBeginMs);
+        EXPECT_EQ(a.downloadEndMs, b.downloadEndMs);
+    }
+}
+
 TEST(AsyncDifferential, PipelineStatsDeterministicAcrossThreadCounts)
 {
     const StreamSnapshot ref = runStream(1, /*async=*/true);
     for (const std::size_t threads : {8u, 16u}) {
         SCOPED_TRACE("host_threads=" + std::to_string(threads));
         const StreamSnapshot got = runStream(threads, /*async=*/true);
-        EXPECT_EQ(ref.pipe.clock.busCursorMs, got.pipe.clock.busCursorMs);
-        EXPECT_EQ(ref.pipe.clock.dpuCursorMs, got.pipe.clock.dpuCursorMs);
-        EXPECT_EQ(ref.pipe.clock.busBusyMs, got.pipe.clock.busBusyMs);
-        EXPECT_EQ(ref.pipe.clock.dpuBusyMs, got.pipe.clock.dpuBusyMs);
-        EXPECT_EQ(ref.pipe.clock.serialMs, got.pipe.clock.serialMs);
-        EXPECT_EQ(ref.pipe.asyncLaunches, got.pipe.asyncLaunches);
-        ASSERT_EQ(ref.pipe.spans.size(), got.pipe.spans.size());
-        for (std::size_t s = 0; s < ref.pipe.spans.size(); ++s) {
-            const PipelineSpan &a = ref.pipe.spans[s];
-            const PipelineSpan &b = got.pipe.spans[s];
-            SCOPED_TRACE("span " + std::to_string(s));
-            EXPECT_EQ(a.launchIndex, b.launchIndex);
-            EXPECT_EQ(a.uploadBeginMs, b.uploadBeginMs);
-            EXPECT_EQ(a.uploadEndMs, b.uploadEndMs);
-            EXPECT_EQ(a.kernelBeginMs, b.kernelBeginMs);
-            EXPECT_EQ(a.kernelEndMs, b.kernelEndMs);
-            EXPECT_EQ(a.downloadBeginMs, b.downloadBeginMs);
-            EXPECT_EQ(a.downloadEndMs, b.downloadEndMs);
-        }
+        expectPipelinesIdentical(ref.pipe, got.pipe);
     }
 }
 
-// ----- pipelined reduction -----
+// ----- sync ops interleaved with in-flight async ops -----
 
-TEST(PipelinedReduce, BitExactWithSynchronousTreeReduce)
+using Operands = std::vector<std::vector<Ciphertext<kLimbs>>>;
+
+/** A mixed run's results and accounting, plus whether every sync op
+ *  left the resident arena's live bytes as it found them. */
+struct MixedSnapshot
 {
-    BfvHarness<kLimbs> h(32);
-    PimHeSystem<kLimbs> sys(h.ctx, asyncConfig(3, 4), 3, 12);
+    StreamSnapshot stream;
+    bool arenaRestored = true;
+};
 
-    std::vector<Ciphertext<kLimbs>> cts;
-    std::uint64_t expected = 0;
-    for (std::size_t i = 0; i < 7; ++i) {
-        cts.push_back(h.encryptScalar(5 + 3 * i));
-        expected += 5 + 3 * i;
+/**
+ * Two addAsync ops, then a sync add and a sync coefficientwise mul
+ * issued while both async ops are still in flight (before get()) —
+ * or, with `mixed` off, the same four ops in the same order, all
+ * synchronous.
+ */
+MixedSnapshot
+runMixed(const BfvHarness<kLimbs> &h, const Operands &lhs,
+         const Operands &rhs, std::size_t host_threads, bool mixed)
+{
+    PimHeSystem<kLimbs> sys(h.ctx, asyncConfig(3, host_threads), 3,
+                            12);
+    MixedSnapshot snap;
+    auto &res = snap.stream.results;
+    res.resize(4);
+    const auto syncOp = [&](std::size_t i) {
+        const std::uint64_t live = sys.dpuSet().plan().liveBytes();
+        res[i] = i == 3 ? sys.mulCoefficientwise(lhs[i], rhs[i])
+                        : sys.addCiphertextVectors(lhs[i], rhs[i]);
+        snap.arenaRestored = snap.arenaRestored &&
+                             sys.dpuSet().plan().liveBytes() == live;
+    };
+    if (mixed) {
+        auto op0 = sys.addAsync(lhs[0], rhs[0]);
+        auto op1 = sys.addAsync(lhs[1], rhs[1]);
+        EXPECT_TRUE(sys.dpuSet().asyncInFlight());
+        syncOp(2);
+        syncOp(3);
+        res[0] = op0.get();
+        res[1] = op1.get();
+        sys.finishAsync();
+    } else {
+        for (std::size_t i = 0; i < 4; ++i)
+            syncOp(i);
     }
-
-    const auto tree = sys.reduceCiphertexts(cts);
-    const auto piped = sys.reduceCiphertextsPipelined(cts);
-    expectCiphertextsEqual({tree}, {piped});
-    EXPECT_EQ(h.decryptScalar(piped), expected % h.params.t);
-    // The stream must actually have gone through the async engine.
-    EXPECT_GT(sys.dpuSet().pipelineStats().asyncLaunches, 0u);
+    snap.stream.launches = sys.dpuSet().launches();
+    snap.stream.pipe = sys.dpuSet().pipelineStats();
+    return snap;
 }
 
-TEST(PipelinedReduce, SingleElementShortCircuits)
+TEST(AsyncDifferential, SyncOpsWhileAsyncInFlightKeepTheContract)
 {
     BfvHarness<kLimbs> h(32);
-    PimHeSystem<kLimbs> sys(h.ctx, asyncConfig(2, 2), 2, 8);
-    const auto ct = h.encryptScalar(42);
-    const auto out = sys.reduceCiphertextsPipelined({ct});
-    expectCiphertextsEqual({ct}, {out});
-    EXPECT_TRUE(sys.dpuSet().launches().empty());
+    Operands lhs, rhs;
+    for (std::size_t i = 0; i < 4; ++i) {
+        lhs.push_back({h.encryptScalar(4 + i)});
+        rhs.push_back({h.encryptScalar(9 + 3 * i)});
+    }
+    const MixedSnapshot ref = runMixed(h, lhs, rhs, 1, /*mixed=*/false);
+    const MixedSnapshot one = runMixed(h, lhs, rhs, 1, /*mixed=*/true);
+    const MixedSnapshot eight = runMixed(h, lhs, rhs, 8, /*mixed=*/true);
+
+    // Results equal the host evaluator: adds through Evaluator::add,
+    // the coefficientwise product through the ring's modular mul.
+    const auto &red = h.ctx.ring().reducer();
+    for (std::size_t i = 0; i < 4; ++i) {
+        Ciphertext<kLimbs> want =
+            i == 3 ? lhs[i][0] : h.eval.add(lhs[i][0], rhs[i][0]);
+        if (i == 3)
+            for (std::size_t c = 0; c < want.size(); ++c)
+                for (std::size_t j = 0; j < h.params.n; ++j)
+                    want[c][j] =
+                        red.mulMod(lhs[i][0][c][j], rhs[i][0][c][j]);
+        SCOPED_TRACE("op " + std::to_string(i));
+        expectCiphertextsEqual({want}, one.stream.results[i]);
+        expectCiphertextsEqual({want}, eight.stream.results[i]);
+        expectCiphertextsEqual({want}, ref.stream.results[i]);
+    }
+
+    // Per-launch modelled stats are those of the all-sync run; only
+    // the two-track pipeline clock sees the overlap, and it is the
+    // same at 1 and 8 host threads.
+    expectLaunchesIdentical(ref.stream.launches, one.stream.launches);
+    expectLaunchesIdentical(ref.stream.launches, eight.stream.launches);
+    EXPECT_EQ(one.stream.pipe.asyncLaunches, 2u);
+    expectPipelinesIdentical(one.stream.pipe, eight.stream.pipe);
+
+    // A sync op stages into scratch of its own and frees it: the
+    // arena is as it found it, async staging pair included.
+    EXPECT_TRUE(ref.arenaRestored);
+    EXPECT_TRUE(one.arenaRestored);
+    EXPECT_TRUE(eight.arenaRestored);
 }
 
 // ----- two-track clock semantics -----

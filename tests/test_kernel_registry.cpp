@@ -11,9 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,17 +25,38 @@ namespace {
 
 using namespace pimhe::pimhe_kernels;
 
+/**
+ * The factory a line defines, or "" when it defines none. A
+ * definition, not a call site: the factory name make<word>Kernel at
+ * column 0 (the headers put the return type on the preceding line),
+ * then optional blanks, then its parameter list.
+ */
+std::string
+factoryDefinedOn(const std::string &line)
+{
+    const auto isWord = [](char c) {
+        return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    };
+    std::size_t end = 0;
+    while (end < line.size() && isWord(line[end]))
+        ++end;
+    const std::string name = line.substr(0, end);
+    if (!name.starts_with("make") || !name.ends_with("Kernel") ||
+        name.size() < 10)
+        return {};
+    std::size_t p = end;
+    while (p < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[p])))
+        ++p;
+    return p < line.size() && line[p] == '(' ? name : std::string();
+}
+
 /** All make*Kernel factory names defined in src/pimhe headers. */
 std::set<std::string>
 factoriesInSources()
 {
     const std::filesystem::path dir =
         std::filesystem::path(PIMHE_SOURCE_DIR) / "src" / "pimhe";
-    // A definition, not a call site: the factory name followed by its
-    // parameter list on a line that starts a function (the headers
-    // put the return type on the preceding line, so the name is at
-    // column 0).
-    const std::regex def(R"(^(make\w*Kernel)\s*\()");
     std::set<std::string> out;
     for (const auto &entry :
          std::filesystem::directory_iterator(dir)) {
@@ -43,11 +64,10 @@ factoriesInSources()
             continue;
         std::ifstream f(entry.path());
         std::string line;
-        while (std::getline(f, line)) {
-            std::smatch m;
-            if (std::regex_search(line, m, def))
-                out.insert(m[1].str());
-        }
+        while (std::getline(f, line))
+            if (const std::string name = factoryDefinedOn(line);
+                !name.empty())
+                out.insert(name);
     }
     return out;
 }

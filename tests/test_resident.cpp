@@ -92,6 +92,26 @@ TYPED_TEST(ResidentWidths, FusedAddMulMatchesChainedOps)
                 << "comp " << cc << " coeff " << j;
 }
 
+/** A staged tree reduction: rounds of addCiphertextVectors, each
+ *  re-uploading its operands and downloading its sums. */
+template <std::size_t N>
+Ciphertext<N>
+stagedTreeReduce(PimHeSystem<N> &sys, std::vector<Ciphertext<N>> cur)
+{
+    while (cur.size() > 1) {
+        const std::size_t half = cur.size() / 2;
+        const std::vector<Ciphertext<N>> lo(cur.begin(),
+                                            cur.begin() + half);
+        const std::vector<Ciphertext<N>> hi(cur.begin() + half,
+                                            cur.begin() + 2 * half);
+        auto sums = sys.addCiphertextVectors(lo, hi);
+        if (cur.size() % 2)
+            sums.push_back(std::move(cur.back()));
+        cur = std::move(sums);
+    }
+    return cur.front();
+}
+
 TYPED_TEST(ResidentWidths, ReduceMatchesStagedAndHost)
 {
     constexpr std::size_t N = TypeParam::numLimbs;
@@ -104,23 +124,29 @@ TYPED_TEST(ResidentWidths, ReduceMatchesStagedAndHost)
             cts.push_back(h.encryptScalar(i + 1));
             expect += i + 1;
         }
-        // Separate systems so per-system transfer totals compare the
-        // two strategies on identical inputs.
         PimHeSystem<N> resident(h.ctx, residentSystem(4), 4, 12);
-        PimHeSystem<N> staged(h.ctx, residentSystem(4), 4, 12);
         const auto via_resident = resident.reduceCiphertexts(cts);
-        const auto via_staged = staged.reduceCiphertextsStaged(cts);
-        for (std::size_t c = 0; c < via_staged.size(); ++c)
-            EXPECT_TRUE(via_staged[c] == via_resident[c])
+        Ciphertext<N> via_host = cts.front();
+        for (std::size_t i = 1; i < cts.size(); ++i)
+            via_host = h.eval.add(via_host, cts[i]);
+        ASSERT_EQ(via_host.size(), via_resident.size());
+        for (std::size_t c = 0; c < via_host.size(); ++c)
+            EXPECT_TRUE(via_host[c] == via_resident[c])
                 << "count " << count << " comp " << c;
         EXPECT_EQ(h.decryptScalar(via_resident),
                   expect % h.params.t)
             << "count " << count;
         if (count > 2) {
-            // The point of the tentpole: once the tree has more than
-            // one round, the resident fold moves strictly fewer bus
-            // bytes than re-staging every round. (At count == 2 both
-            // strategies upload two and download one — identical.)
+            // Once the tree has more than one round, the resident
+            // fold moves strictly fewer bus bytes than re-staging
+            // every round. (At count == 2 both strategies upload two
+            // and download one — identical.) A separate system keeps
+            // the two transfer totals apart.
+            PimHeSystem<N> staged(h.ctx, residentSystem(4), 4, 12);
+            const auto via_staged = stagedTreeReduce(staged, cts);
+            for (std::size_t c = 0; c < via_staged.size(); ++c)
+                EXPECT_TRUE(via_staged[c] == via_resident[c])
+                    << "count " << count << " comp " << c;
             EXPECT_LT(resident.transferTotals().busBytes(),
                       staged.transferTotals().busBytes())
                 << "count " << count;

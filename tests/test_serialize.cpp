@@ -137,6 +137,33 @@ TEST(Serialize, RejectsAbsurdDegree)
                  "implausible polynomial degree");
 }
 
+TEST(Serialize, RejectsClaimedDegreeBeyondStreamBeforeAllocating)
+{
+    // A plausible 2^20-coefficient header followed by 8 payload bytes:
+    // the length check rejects it before a degree-sized allocation.
+    const std::uint64_t n = std::uint64_t(1) << 20;
+    ByteWriter ct;
+    ct.writeU32(0x50494D48);
+    ct.writeU32(1);
+    ct.writeU32(1); // ciphertext tag
+    ct.writeU32(4); // limbs
+    ct.writeU32(2); // components
+    ct.writeU64(n);
+    ct.writeU64(0); // 8 payload bytes
+    EXPECT_DEATH(deserializeCiphertext<4>(ct.bytes()),
+                 "1048576 coefficients need 16777216 bytes, 8 remain");
+
+    ByteWriter pt;
+    pt.writeU32(0x50494D48);
+    pt.writeU32(1);
+    pt.writeU32(2); // plaintext tag
+    pt.writeU32(0); // limbs
+    pt.writeU64(n);
+    pt.writeU64(0);
+    EXPECT_DEATH(deserializePlaintext(pt.bytes()),
+                 "1048576 coefficients need 8388608 bytes, 8 remain");
+}
+
 TEST(Serialize, WireSizeIsCompact)
 {
     // 2 components x n coefficients x N limbs x 4 bytes + headers.
