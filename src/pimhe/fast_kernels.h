@@ -107,6 +107,32 @@ hostWideSub(const std::uint32_t *a, const std::uint32_t *b,
     return borrow;
 }
 
+/** One native word of limbs 32-bit limbs: the limb loop's select,
+ *  evaluated in W. The sum wraps modulo 2^bits(W), so the carry out
+ *  of the top word is s < a, exact for reduced and unreduced inputs
+ *  alike, and the result is bit-identical to the limb loop. */
+template <typename W>
+inline void
+hostWideAddModQLane(const std::uint32_t *a, const std::uint32_t *b,
+                    const std::uint32_t *q, std::uint32_t *out)
+{
+    constexpr std::uint32_t limbs = sizeof(W) / 4;
+    const auto load = [](const std::uint32_t *w) {
+        W v = 0;
+        for (std::uint32_t i = 0; i < limbs; ++i)
+            v |= static_cast<W>(w[i]) << (32 * i);
+        return v;
+    };
+    const W av = load(a);
+    const W qv = load(q);
+    const W s = av + load(b);
+    const std::uint32_t carry = s < av ? 1u : 0u;
+    const std::uint32_t borrow = s < qv ? 1u : 0u;
+    const W r = (carry | (borrow ^ 1u)) != 0 ? W(s - qv) : s;
+    for (std::uint32_t i = 0; i < limbs; ++i)
+        out[i] = static_cast<std::uint32_t>(r >> (32 * i));
+}
+
 /** Mirror of dpuWideAddModQ: s = a + b; d = s - q;
  *  out = (carry | !borrow) ? d : s. */
 inline void
@@ -114,40 +140,13 @@ hostWideAddModQ(const std::uint32_t *a, const std::uint32_t *b,
                 const std::uint32_t *q, std::uint32_t *out,
                 std::uint32_t limbs)
 {
+    if (limbs == 1)
+        return hostWideAddModQLane<std::uint32_t>(a, b, q, out);
+    if (limbs == 2)
+        return hostWideAddModQLane<std::uint64_t>(a, b, q, out);
 #if defined(__SIZEOF_INT128__)
-    // Native fast lanes for the common widths. Same select structure
-    // as the limb loop below (carry out of the top word | no borrow
-    // from s - q picks the subtracted value), evaluated in one
-    // machine word, so the result is bit-identical.
-    if (limbs == 1) {
-        const std::uint64_t s64 =
-            static_cast<std::uint64_t>(a[0]) + b[0];
-        const std::uint32_t carry =
-            static_cast<std::uint32_t>(s64 >> 32);
-        const std::uint32_t s = static_cast<std::uint32_t>(s64);
-        const std::uint32_t borrow = s < q[0] ? 1u : 0u;
-        out[0] = (carry | (borrow ^ 1u)) != 0 ? s - q[0] : s;
-        return;
-    }
-    if (limbs == 2) {
-        using u128 = unsigned __int128;
-        const std::uint64_t a64 =
-            a[0] | (static_cast<std::uint64_t>(a[1]) << 32);
-        const std::uint64_t b64 =
-            b[0] | (static_cast<std::uint64_t>(b[1]) << 32);
-        const std::uint64_t q64 =
-            q[0] | (static_cast<std::uint64_t>(q[1]) << 32);
-        const u128 wide = static_cast<u128>(a64) + b64;
-        const std::uint32_t carry =
-            static_cast<std::uint32_t>(wide >> 64);
-        const std::uint64_t s = static_cast<std::uint64_t>(wide);
-        const std::uint32_t borrow = s < q64 ? 1u : 0u;
-        const std::uint64_t r =
-            (carry | (borrow ^ 1u)) != 0 ? s - q64 : s;
-        out[0] = static_cast<std::uint32_t>(r);
-        out[1] = static_cast<std::uint32_t>(r >> 32);
-        return;
-    }
+    if (limbs == 4)
+        return hostWideAddModQLane<unsigned __int128>(a, b, q, out);
 #endif
     std::uint32_t s[pim::kMaxLimbs];
     std::uint32_t d[pim::kMaxLimbs];

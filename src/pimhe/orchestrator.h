@@ -888,25 +888,27 @@ class PimHeSystem
                       op->region + 2 * arr_bytes, op->perDpu);
 
         // Flatten every DPU's slice concurrently into disjoint regions
-        // of one buffer, then issue the MRAM copies in DPU order so
-        // transfer accounting stays deterministic.
+        // of the upload buffer, then issue the MRAM copies in DPU order
+        // so transfer accounting stays deterministic. One copy per DPU
+        // per operand: the call count feeds the bus model.
         {
             obs::ScopedSpan stage_span(obs::Tracer::global(), 0,
                                        "pimhe.stage");
-            const std::span<const Ciphertext<N>> as(a), bs(b);
-            std::vector<std::uint8_t> abuf(num_dpus * arr_bytes);
-            std::vector<std::uint8_t> bbuf(num_dpus * arr_bytes);
+            const std::size_t n = ctx_.ring().degree();
+            const std::span<std::uint8_t> ab =
+                hostBuffer(upload_, 2 * num_dpus * arr_bytes);
+            const auto slot = [&](std::size_t d, std::size_t operand) {
+                return ab.subspan((2 * d + operand) * arr_bytes, arr_bytes);
+            };
             dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-                flattenSlice(as, d * op->perDpu, op->perDpu,
-                             sliceOf(abuf, d, arr_bytes));
-                flattenSlice(bs, d * op->perDpu, op->perDpu,
-                             sliceOf(bbuf, d, arr_bytes));
+                flattenRange<N>(std::span(a), n, d * op->perDpu,
+                                op->perDpu, slot(d, 0));
+                flattenRange<N>(std::span(b), n, d * op->perDpu,
+                                op->perDpu, slot(d, 1));
             });
             for (std::size_t d = 0; d < num_dpus; ++d) {
-                dpus_.copyToMramAsync(d, kp.mramA,
-                                      sliceOf(abuf, d, arr_bytes));
-                dpus_.copyToMramAsync(d, kp.mramB,
-                                      sliceOf(bbuf, d, arr_bytes));
+                dpus_.copyToMramAsync(d, kp.mramA, slot(d, 0));
+                dpus_.copyToMramAsync(d, kp.mramB, slot(d, 1));
             }
         }
 
@@ -935,18 +937,20 @@ class PimHeSystem
         obs::ScopedSpan span(obs::Tracer::global(), 0,
                              "pimhe.collect");
         const std::size_t num_dpus = dpus_.size();
+        const std::size_t n = ctx_.ring().degree();
         std::vector<Ciphertext<N>> out(op.count);
         for (auto &ct : out)
-            for (std::size_t cidx = 0; cidx < op.comps; ++cidx)
-                ct.comps.emplace_back(ctx_.ring().degree());
-        std::vector<std::uint8_t> obuf(num_dpus * op.arrBytes);
+            ct.comps.assign(op.comps, Polynomial<N>(n));
+        const std::span<std::uint8_t> ob =
+            hostBuffer(download_, num_dpus * op.arrBytes);
         for (std::size_t d = 0; d < num_dpus; ++d)
             dpus_.copyFromMram(d, op.region + 2 * op.arrBytes,
-                               sliceOf(obuf, d, op.arrBytes),
+                               ob.subspan(d * op.arrBytes, op.arrBytes),
                                op.launchIndex);
         dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
-            unflattenSlice(sliceOf(obuf, d, op.arrBytes),
-                           d * op.perDpu, op.perDpu, out);
+            unflattenRange<N>(ob.subspan(d * op.arrBytes, op.arrBytes),
+                              std::span(out), n, d * op.perDpu,
+                              op.perDpu);
         });
         op.results = std::move(out);
         op.harvested = true;
@@ -992,56 +996,15 @@ class PimHeSystem
         return AsyncOp(this, std::move(s.op));
     }
 
+    /** The first `bytes` of a host staging buffer, grown (never
+     *  shrunk) to fit. Contents are stale; flattenRange zeroes every
+     *  byte it does not encode. */
     static std::span<std::uint8_t>
-    sliceOf(std::vector<std::uint8_t> &buf, std::size_t idx,
-            std::size_t bytes)
+    hostBuffer(std::vector<std::uint8_t> &buf, std::size_t bytes)
     {
-        return std::span<std::uint8_t>(buf.data() + idx * bytes, bytes);
-    }
-
-    /** Copy elements [begin, begin+count) of the flat view into buf. */
-    void
-    flattenSlice(std::span<const Ciphertext<N>> cts, std::size_t begin,
-                 std::size_t count, std::span<std::uint8_t> buf) const
-    {
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = cts.front().size();
-        std::fill(buf.begin(), buf.end(), 0);
-        for (std::size_t e = 0; e < count; ++e) {
-            const std::size_t flat = begin + e;
-            if (flat >= cts.size() * comps * n)
-                break;
-            const auto &coeff =
-                cts[flat / (comps * n)][(flat / n) % comps]
-                   [flat % n];
-            for (std::size_t l = 0; l < N; ++l) {
-                const std::uint32_t v = coeff.limb(l);
-                std::memcpy(buf.data() + e * N * 4 + l * 4, &v, 4);
-            }
-        }
-    }
-
-    /** Inverse of flattenSlice into the output ciphertexts. */
-    void
-    unflattenSlice(std::span<const std::uint8_t> buf,
-                   std::size_t begin, std::size_t count,
-                   std::vector<Ciphertext<N>> &out) const
-    {
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t comps = out.front().size();
-        for (std::size_t e = 0; e < count; ++e) {
-            const std::size_t flat = begin + e;
-            if (flat >= out.size() * comps * n)
-                break;
-            WideInt<N> coeff;
-            for (std::size_t l = 0; l < N; ++l) {
-                std::uint32_t v;
-                std::memcpy(&v, buf.data() + e * N * 4 + l * 4, 4);
-                coeff.setLimb(l, v);
-            }
-            out[flat / (comps * n)][(flat / n) % comps][flat % n] =
-                coeff;
-        }
+        if (buf.size() < bytes)
+            buf.resize(bytes);
+        return std::span<std::uint8_t>(buf.data(), bytes);
     }
 
     const BfvContext<N> &ctx_;
@@ -1050,6 +1013,11 @@ class PimHeSystem
     PseudoMersenne<N> pm_;
     ResidentCache<N> cache_;
     ElementwiseStager stager_; //!< async elementwise staging pair
+    // Host staging buffers, reused across staged ops. Downloads get
+    // their own so a harvest that stagerSlot() triggers mid-stage can
+    // never touch a half-filled upload.
+    std::vector<std::uint8_t> upload_;   //!< A/B operands, per DPU
+    std::vector<std::uint8_t> download_; //!< results, per DPU
     PimCostModel costModel_; //!< fit probes for certifyPlan (cached)
     analysis::NoiseReport noiseCheck_;
     analysis::CostReport costEstimate_;
@@ -1131,8 +1099,12 @@ class PimConvolver : public ExactConvolver<N>
                 kp.mramOut + std::uint64_t(e0 - b0) * acc_bytes;
         }
 
-        dpus_.broadcastToMram(kp.mramA, flatten(a));
-        dpus_.broadcastToMram(kp.mramB, flatten(b));
+        std::vector<std::uint8_t> operand(n * elem_bytes);
+        for (const auto &[addr, p] : {std::pair{kp.mramA, &a},
+                                      std::pair{kp.mramB, &b}}) {
+            flattenRange<N>(std::span(p, 1), n, 0, n, operand);
+            dpus_.broadcastToMram(addr, operand);
+        }
         if (num_dpus > 1) {
             for (std::size_t d = 0; d < num_dpus; ++d) {
                 const auto [rb, re] = analysis::rowShardRange(
@@ -1224,18 +1196,6 @@ class PimConvolver : public ExactConvolver<N>
                     v.setLimb(l, 0xFFFFFFFFu);
             out[r] = v;
         }
-    }
-
-    std::vector<std::uint8_t>
-    flatten(const Polynomial<N> &p) const
-    {
-        std::vector<std::uint8_t> buf(p.size() * N * 4);
-        for (std::size_t i = 0; i < p.size(); ++i)
-            for (std::size_t l = 0; l < N; ++l) {
-                const std::uint32_t v = p[i].limb(l);
-                std::memcpy(buf.data() + (i * N + l) * 4, &v, 4);
-            }
-        return buf;
     }
 
     const RingContext<N> &ring_;

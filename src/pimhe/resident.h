@@ -41,10 +41,12 @@
 #ifndef PIMHE_PIMHE_RESIDENT_H
 #define PIMHE_PIMHE_RESIDENT_H
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "bfv/ciphertext.h"
@@ -53,6 +55,86 @@
 #include "pim/system.h"
 
 namespace pimhe {
+
+// The one coefficient <-> MRAM-bytes codec (DESIGN.md §16). Its input
+// is a flat coefficient space: a span of degree-n polynomials, or of
+// equal-size ciphertexts read component-major; flat element f is
+// coefficient f % n of polynomial f / n. An MRAM element is its N
+// limbs in limb order, which is WideInt<N>'s object representation,
+// so each polynomial a range touches moves as one memcpy.
+
+template <typename T>
+constexpr bool kIsCiphertext = requires(T &t) { t.comps; };
+
+/** Polynomial p of a flat space whose elements hold `per` each. */
+template <typename T>
+auto &
+flatPoly(std::span<T> seq, std::size_t per, std::size_t p)
+{
+    if constexpr (kIsCiphertext<T>)
+        return seq[p / per][p % per];
+    else
+        return seq[p];
+}
+
+/** Call fn(coeffs, e, run) for each per-polynomial run of the flat
+ *  elements [begin, begin + count), clipped at the end of the space
+ *  (e is the run's offset from begin); returns the elements visited. */
+template <std::size_t N, typename T, typename Fn>
+std::size_t
+forEachRun(std::span<T> seq, std::size_t n, std::size_t begin,
+           std::size_t count, const Fn &fn)
+{
+    static_assert(sizeof(WideInt<N>) == 4 * N &&
+                      std::is_trivially_copyable_v<WideInt<N>>,
+                  "an MRAM element must be WideInt<N>'s bytes");
+    std::size_t per = 1;
+    if constexpr (kIsCiphertext<T>)
+        per = seq.empty() ? 0 : seq.front().size();
+    const std::size_t end = std::min(begin + count, seq.size() * per * n);
+    for (std::size_t f = begin; f < end;) {
+        auto &poly = flatPoly(seq, per, f / n);
+        PIMHE_ASSERT(poly.size() == n, "degree-", poly.size(),
+                     " polynomial in a degree-", n, " space");
+        const std::size_t run = std::min(n - f % n, end - f);
+        fn(poly.coeffs().data() + f % n, f - begin, run);
+        f += run;
+    }
+    return end > begin ? end - begin : 0;
+}
+
+/** Encode flat elements [begin, begin + count) of `seq` into buf and
+ *  zero every byte after them (the ragged tail and the DMA-granule
+ *  pad), so a reused buffer never carries an earlier op's bytes into
+ *  MRAM. */
+template <std::size_t N, typename T>
+void
+flattenRange(std::span<T> seq, std::size_t n, std::size_t begin,
+             std::size_t count, std::span<std::uint8_t> buf)
+{
+    constexpr std::size_t eb = 4 * N;
+    PIMHE_ASSERT(buf.size() >= count * eb, "flatten buffer too small");
+    const std::size_t done = forEachRun<N>(
+        seq, n, begin, count,
+        [&](const WideInt<N> *c, std::size_t e, std::size_t run) {
+            std::memcpy(buf.data() + e * eb, c, run * eb);
+        });
+    std::fill(buf.begin() + done * eb, buf.end(), std::uint8_t{0});
+}
+
+/** Inverse of flattenRange (padding is ignored). */
+template <std::size_t N, typename T>
+void
+unflattenRange(std::span<const std::uint8_t> buf, std::span<T> seq,
+               std::size_t n, std::size_t begin, std::size_t count)
+{
+    constexpr std::size_t eb = 4 * N;
+    PIMHE_ASSERT(buf.size() >= count * eb, "unflatten buffer too small");
+    forEachRun<N>(seq, n, begin, count,
+                  [&](WideInt<N> *c, std::size_t e, std::size_t run) {
+                      std::memcpy(c, buf.data() + e * eb, run * eb);
+                  });
+}
 
 /**
  * Opaque handle to a cache entry. Obtained from PimHeSystem's
@@ -473,19 +555,20 @@ class ResidentCache
         const std::size_t num_dpus = dpus_.size();
         const std::uint64_t region = e.shape.sliceBytes * e.count;
         std::vector<std::uint8_t> buf(num_dpus * region);
+        const std::size_t n = ctx_.ring().degree();
+        const std::uint64_t slice = e.shape.sliceBytes;
+        // DPU d owns flat elements [d * perDpu, (d+1) * perDpu) of
+        // every ciphertext; ciphertext j's slice sits at j * slice.
         dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
             for (std::uint32_t j = 0; j < e.count; ++j)
-                flattenSlice(e.host[j], e.shape, d,
-                             std::span<std::uint8_t>(
-                                 buf.data() + d * region +
-                                     j * e.shape.sliceBytes,
-                                 e.shape.sliceBytes));
+                flattenRange<N>(std::span(e.host[j].comps), n,
+                                d * e.shape.perDpu, e.shape.perDpu,
+                                {buf.data() + d * region + j * slice,
+                                 slice});
         });
         for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyToMram(
-                d, e.addr,
-                std::span<const std::uint8_t>(buf.data() + d * region,
-                                              region));
+            dpus_.copyToMram(d, e.addr,
+                             std::span(buf).subspan(d * region, region));
         stats_.uploadedBytes += num_dpus * region;
     }
 
@@ -497,66 +580,19 @@ class ResidentCache
         const std::uint64_t region = e.shape.sliceBytes * e.count;
         std::vector<std::uint8_t> buf(num_dpus * region);
         for (std::size_t d = 0; d < num_dpus; ++d)
-            dpus_.copyFromMram(
-                d, e.addr,
-                std::span<std::uint8_t>(buf.data() + d * region,
-                                        region));
-        e.host.assign(e.count, Ciphertext<N>{});
-        for (auto &ct : e.host)
-            for (std::size_t c = 0; c < e.shape.comps; ++c)
-                ct.comps.emplace_back(n);
+            dpus_.copyFromMram(d, e.addr,
+                               std::span(buf).subspan(d * region, region));
+        e.host.assign(e.count, Ciphertext<N>{std::vector(
+                                   e.shape.comps, Polynomial<N>(n))});
+        const std::uint64_t slice = e.shape.sliceBytes;
         dpus_.hostPool().parallelFor(num_dpus, [&](std::size_t d) {
             for (std::uint32_t j = 0; j < e.count; ++j)
-                unflattenSlice(std::span<const std::uint8_t>(
-                                   buf.data() + d * region +
-                                       j * e.shape.sliceBytes,
-                                   e.shape.sliceBytes),
-                               e.shape, d, e.host[j]);
+                unflattenRange<N>(
+                    {buf.data() + d * region + j * slice, slice},
+                    std::span(e.host[j].comps), n, d * e.shape.perDpu,
+                    e.shape.perDpu);
         });
         stats_.downloadedBytes += num_dpus * region;
-    }
-
-    /** Flat element f of a ciphertext = component f / n, coefficient
-     *  f % n; DPU d owns flat elements [d * perDpu, (d+1) * perDpu). */
-    void
-    flattenSlice(const Ciphertext<N> &ct, const Shape &s, std::size_t d,
-                 std::span<std::uint8_t> buf) const
-    {
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t total = s.comps * n;
-        std::fill(buf.begin(), buf.end(), 0);
-        const std::size_t begin = d * s.perDpu;
-        for (std::size_t e = 0; e < s.perDpu; ++e) {
-            const std::size_t flat = begin + e;
-            if (flat >= total)
-                break;
-            const auto &coeff = ct[flat / n][flat % n];
-            for (std::size_t l = 0; l < N; ++l) {
-                const std::uint32_t v = coeff.limb(l);
-                std::memcpy(buf.data() + e * N * 4 + l * 4, &v, 4);
-            }
-        }
-    }
-
-    void
-    unflattenSlice(std::span<const std::uint8_t> buf, const Shape &s,
-                   std::size_t d, Ciphertext<N> &out) const
-    {
-        const std::size_t n = ctx_.ring().degree();
-        const std::size_t total = s.comps * n;
-        const std::size_t begin = d * s.perDpu;
-        for (std::size_t e = 0; e < s.perDpu; ++e) {
-            const std::size_t flat = begin + e;
-            if (flat >= total)
-                break;
-            WideInt<N> coeff;
-            for (std::size_t l = 0; l < N; ++l) {
-                std::uint32_t v;
-                std::memcpy(&v, buf.data() + e * N * 4 + l * 4, 4);
-                coeff.setLimb(l, v);
-            }
-            out[flat / n][flat % n] = coeff;
-        }
     }
 
     const BfvContext<N> &ctx_;

@@ -514,6 +514,93 @@ TEST(FastPathDifferential, FullGridIsBitExact)
         << "fuzz grid shrank below the 200-iteration budget";
 }
 
+// ----- the native 128-bit add lane at its edges -----
+
+/** The generic limb loop hostWideAddModQ falls back to for widths
+ *  without a native lane, spelled out as the lane's reference. */
+void
+limbLoopAddModQ(const std::uint32_t *a, const std::uint32_t *b,
+                const std::uint32_t *q, std::uint32_t *out,
+                std::uint32_t limbs)
+{
+    std::uint32_t s[kMaxLimbs];
+    std::uint32_t d[kMaxLimbs];
+    const std::uint32_t carry = fastpath::hostWideAdd(a, b, s, limbs);
+    const std::uint32_t borrow = fastpath::hostWideSub(s, q, d, limbs);
+    const std::uint32_t take_d = carry | (borrow ^ 1u);
+    for (std::uint32_t i = 0; i < limbs; ++i)
+        out[i] = take_d != 0 ? d[i] : s[i];
+}
+
+/**
+ * hostWideAddModQ at 4 limbs (the native u128 lane) against the limb
+ * loop, bit for bit, on the values where a 128-bit lane can go wrong:
+ * a carry out of the top word (with and without a wrapped sum below
+ * q), sums landing exactly on q and on q - 1, unreduced operands and a
+ * random grid. The same pairs then run through vec-add-modq under
+ * Shadow, whose interpreter oracle is the DPU kernel itself.
+ */
+TEST(FastPathLanes, WideAddModQ128MatchesLimbLoopAtEdges)
+{
+    constexpr std::uint32_t L = 4;
+    using W = WideInt<L>;
+    const W q = standardParams<L>().q;
+    const W max = W::maxValue();
+    const W one(1ULL);
+    const W half = W::oneShl(127);
+    std::vector<std::pair<W, W>> pairs = {
+        {max, max},           // carry out, wrapped sum >= q
+        {max, one},           // carry out, wrapped sum 0 < q
+        {half, half},         // carry out, wrapped sum 0 < q
+        {max, q},             // carry out, wrapped sum q - 1
+        {q - one, one},       // a + b == q
+        {q, W()},             // a + b == q, a unreduced
+        {q.shr(1), q - q.shr(1)}, // a + b == q
+        {q - one, W()},       // a + b == q - 1
+        {q.shr(1), q - one - q.shr(1)}, // a + b == q - 1
+        {q, q},               // both unreduced, no carry
+        {max - q, q},         // a + b == 2^128 - 1
+        {W(), W()},
+    };
+    Rng rng(kSeed + 128);
+    for (int i = 0; i < 256; ++i) {
+        pairs.emplace_back(pimhe::testing::randomWide<L>(rng),
+                           pimhe::testing::randomWide<L>(rng));
+        pairs.emplace_back(randomBelow<L>(rng, q), randomBelow<L>(rng, q));
+        W u = pimhe::testing::randomWide<L>(rng);
+        while (u < q)
+            u = pimhe::testing::randomWide<L>(rng);
+        pairs.emplace_back(u, randomBelow<L>(rng, q));
+    }
+
+    std::uint32_t ql[L];
+    for (std::uint32_t l = 0; l < L; ++l)
+        ql[l] = q.limb(l);
+    std::vector<std::uint8_t> abytes(pairs.size() * L * 4);
+    std::vector<std::uint8_t> bbytes(abytes.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        std::uint32_t al[L], bl[L], lane[L], loop[L];
+        for (std::uint32_t l = 0; l < L; ++l) {
+            al[l] = pairs[i].first.limb(l);
+            bl[l] = pairs[i].second.limb(l);
+        }
+        fastpath::hostWideAddModQ(al, bl, ql, lane, L);
+        limbLoopAddModQ(al, bl, ql, loop, L);
+        EXPECT_EQ(0, std::memcmp(lane, loop, sizeof lane))
+            << "pair " << i << ": a=" << pairs[i].first.toHexString()
+            << " b=" << pairs[i].second.toHexString();
+        std::memcpy(abytes.data() + i * L * 4, al, L * 4);
+        std::memcpy(bbytes.data() + i * L * 4, bl, L * 4);
+    }
+
+    const auto p = vecParamsFor<L>(pairs.size());
+    std::vector<std::uint8_t> init = abytes;
+    init.resize(p.mramB);
+    init.insert(init.end(), bbytes.begin(), bbytes.end());
+    runShadowAndFast(compiledVecAddModQ(p), 11, 1, 1, {init}, 0,
+                     "vec-add-modq L4 lane edges");
+}
+
 // ----- oracle: fast-mode PIM convolver vs the host engines -----
 
 /**

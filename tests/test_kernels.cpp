@@ -84,11 +84,15 @@ loadVec(Dpu &dpu, std::uint64_t addr, std::size_t elems)
     return v;
 }
 
+// gtest prints a parameter type without a printer as a byte dump,
+// and ctest registers that dump as part of each case's name, so the
+// struct must have no (uninitialised) padding bytes.
 struct ShapeParam
 {
     std::size_t elems;
-    unsigned tasklets;
+    std::size_t tasklets;
 };
+static_assert(sizeof(ShapeParam) == 2 * sizeof(std::size_t));
 
 class VecKernelShapes
     : public ::testing::TestWithParam<ShapeParam>
@@ -120,7 +124,7 @@ TEST_P(VecKernelShapes, AddKernelMatchesBarrett128)
     const auto p = makeVecParams<L>(elems);
     storeVec(dpu, p.mramA, a);
     storeVec(dpu, p.mramB, b);
-    dpu.run(tasklets, makeVecAddModQKernel(p));
+    dpu.run(static_cast<unsigned>(tasklets), makeVecAddModQKernel(p));
     const auto out = loadVec<L>(dpu, p.mramOut, elems);
     for (std::size_t i = 0; i < elems; ++i)
         EXPECT_EQ(out[i], red.addMod(a[i], b[i])) << "elem " << i;
@@ -140,7 +144,7 @@ TEST_P(VecKernelShapes, MulKernelMatchesBarrett128)
     const auto p = makeVecParams<L>(elems);
     storeVec(dpu, p.mramA, a);
     storeVec(dpu, p.mramB, b);
-    dpu.run(tasklets, makeVecMulModQKernel(p));
+    dpu.run(static_cast<unsigned>(tasklets), makeVecMulModQKernel(p));
     const auto out = loadVec<L>(dpu, p.mramOut, elems);
     for (std::size_t i = 0; i < elems; ++i)
         EXPECT_EQ(out[i], red.mulMod(a[i], b[i])) << "elem " << i;

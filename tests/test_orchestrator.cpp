@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "pimhe/orchestrator.h"
 #include "test_util.h"
 
@@ -15,6 +18,7 @@ namespace {
 
 using pimhe::testing::BfvHarness;
 using pimhe::testing::kSeed;
+using pimhe::testing::randomBelow;
 
 pim::SystemConfig
 tinySystem(std::size_t dpus)
@@ -25,6 +29,24 @@ tinySystem(std::size_t dpus)
     // regression fails here before it can corrupt a simulated run.
     cfg.verifyBeforeLaunch = true;
     return cfg;
+}
+
+/** `count` ciphertexts of `comps` components, coefficients uniform
+ *  below q: the staging codec moves words, so encryption adds nothing
+ *  it could see, and random words catch a misplaced run. */
+template <std::size_t N>
+std::vector<Ciphertext<N>>
+randomCiphertexts(BfvHarness<N> &h, std::size_t count, std::size_t comps)
+{
+    std::vector<Ciphertext<N>> cts(count);
+    for (auto &ct : cts)
+        for (std::size_t c = 0; c < comps; ++c) {
+            Polynomial<N> p(h.params.n);
+            for (std::size_t j = 0; j < h.params.n; ++j)
+                p[j] = randomBelow<N>(h.rng, h.params.q);
+            ct.comps.push_back(std::move(p));
+        }
+    return cts;
 }
 
 TEST(PseudoMersenne, DetectsStandardModuli)
@@ -119,6 +141,162 @@ TYPED_TEST(OrchestratorWidths, PimConvolverBitExactBfvMultiply)
     for (std::size_t c = 0; c < host.size(); ++c)
         EXPECT_TRUE(host[c] == pim[c]) << "component " << c;
     EXPECT_EQ(h.decryptScalar(pim), 42 % h.params.t);
+}
+
+/**
+ * The coefficient codec at the shapes where a word-level copy can go
+ * wrong: per-DPU ranges that cross component and ciphertext
+ * boundaries, a ragged tail (2560 elements over 13 DPUs),
+ * 3-component ciphertexts, and more DPUs than elements (whole DPUs of
+ * padding). Every path that encodes or decodes coefficients must be
+ * bit-exact with the host evaluator: staged sync and async add/mul,
+ * resident upload and download, the resident tree reduction over a
+ * packed multi-ciphertext region, and the PIM convolver.
+ */
+TYPED_TEST(OrchestratorWidths, CodecRoundTripsAcrossBoundaries)
+{
+    constexpr std::size_t N = TypeParam::numLimbs;
+    struct Shape
+    {
+        std::size_t n, dpus, cts, comps;
+    };
+    for (const Shape s : {Shape{256, 13, 5, 2}, Shape{256, 13, 5, 3},
+                          Shape{16, 7, 3, 3}, Shape{16, 64, 1, 2}}) {
+        SCOPED_TRACE("n=" + std::to_string(s.n) + " dpus=" +
+                     std::to_string(s.dpus) + " cts=" +
+                     std::to_string(s.cts) + " comps=" +
+                     std::to_string(s.comps));
+        BfvHarness<N> h(s.n);
+        PimHeSystem<N> pimsys(h.ctx, tinySystem(s.dpus), s.dpus, 12);
+        const auto as = randomCiphertexts(h, s.cts, s.comps);
+        const auto bs = randomCiphertexts(h, s.cts, s.comps);
+        const auto &red = h.ctx.ring().reducer();
+        const auto expectEq = [&](const Ciphertext<N> &want,
+                                  const Ciphertext<N> &got,
+                                  const std::string &what) {
+            ASSERT_EQ(want.size(), got.size()) << what;
+            for (std::size_t c = 0; c < want.size(); ++c)
+                EXPECT_TRUE(want[c] == got[c])
+                    << what << " component " << c;
+        };
+        const auto expectSums = [&](const std::vector<Ciphertext<N>> &got,
+                                    const std::string &what) {
+            ASSERT_EQ(got.size(), s.cts) << what;
+            for (std::size_t i = 0; i < s.cts; ++i)
+                expectEq(h.eval.add(as[i], bs[i]), got[i],
+                         what + " ct " + std::to_string(i));
+        };
+        const auto expectProducts =
+            [&](const std::vector<Ciphertext<N>> &got,
+                const std::string &what) {
+                ASSERT_EQ(got.size(), s.cts) << what;
+                for (std::size_t i = 0; i < s.cts; ++i) {
+                    Ciphertext<N> want = as[i];
+                    for (std::size_t c = 0; c < s.comps; ++c)
+                        for (std::size_t j = 0; j < s.n; ++j)
+                            want[c][j] = red.mulMod(as[i][c][j],
+                                                    bs[i][c][j]);
+                    expectEq(want, got[i],
+                             what + " ct " + std::to_string(i));
+                }
+            };
+
+        expectSums(pimsys.addCiphertextVectors(as, bs), "sync add");
+        expectProducts(pimsys.mulCoefficientwise(as, bs), "sync mul");
+        // Two async ops in flight, one per slot of the staging pair.
+        auto add = pimsys.addAsync(as, bs);
+        auto mul = pimsys.mulAsync(as, bs);
+        expectSums(add.get(), "async add");
+        expectProducts(mul.get(), "async mul");
+        pimsys.finishAsync();
+
+        // Resident: operands upload on first use, the dirty result
+        // downloads on materialize.
+        for (std::size_t i = 0; i < s.cts; ++i) {
+            const auto ra = pimsys.makeResident(as[i]);
+            const auto rb = pimsys.makeResident(bs[i]);
+            const auto sum = pimsys.addResident(ra, rb);
+            expectEq(h.eval.add(as[i], bs[i]), pimsys.materialize(sum),
+                     "resident add ct " + std::to_string(i));
+            pimsys.dropResident(sum);
+            pimsys.dropResident(ra);
+            pimsys.dropResident(rb);
+        }
+        Ciphertext<N> total = as[0];
+        for (std::size_t i = 1; i < s.cts; ++i)
+            total = h.eval.add(total, as[i]);
+        expectEq(total, pimsys.reduceCiphertexts(as), "resident reduce");
+
+        // The convolver encodes whole polynomials; interpreting an
+        // n = 256 product is slow, so it runs at the small degree.
+        if (s.n == 16) {
+            const auto x = h.encryptScalar(6);
+            const auto y = h.encryptScalar(7);
+            const auto host = h.eval.multiply(x, y);
+            h.ctx.setConvolver(std::make_unique<PimConvolver<N>>(
+                h.ctx.ring(), tinySystem(3), 12, 3));
+            expectEq(host, h.eval.multiply(x, y), "pim convolver");
+        }
+    }
+}
+
+/**
+ * Staging buffers are reused across ops, so every byte the codec does
+ * not encode must be zeroed explicitly. A large op runs first, leaving
+ * its bytes in the host buffers and in MRAM; then a smaller ragged op
+ * (197 elements per DPU, so at N = 1 each slice also has a 4-byte DMA
+ * pad) stages into the same region. Its operand thirds, read back
+ * from every DPU, must hold the operands and zeros after them.
+ */
+TYPED_TEST(OrchestratorWidths, ReusedStagingBuffersZeroThePadding)
+{
+    constexpr std::size_t N = TypeParam::numLimbs;
+    constexpr std::size_t n = 256, dpus = 13, count = 5, comps = 2;
+    BfvHarness<N> h(n);
+    PimHeSystem<N> pimsys(h.ctx, tinySystem(dpus), dpus, 12);
+    const auto big = randomCiphertexts(h, 16, comps);
+    pimsys.addCiphertextVectors(big, big);
+
+    const auto as = randomCiphertexts(h, count, comps);
+    const auto bs = randomCiphertexts(h, count, comps);
+    pimsys.addCiphertextVectors(as, bs);
+
+    const std::size_t total = count * comps * n;
+    const std::size_t per_dpu = (total + dpus - 1) / dpus;
+    const std::size_t arr = (per_dpu * N * 4 + 7) / 8 * 8;
+    if (N == 1) {
+        ASSERT_NE(per_dpu * 4 % 8, 0u) << "shape must give N = 1 a DMA pad";
+    }
+    // A sync op stages into the arena's first free region, address 0
+    // once the large op's region is freed; the operand check below
+    // fails loudly if it were anywhere else.
+    for (std::size_t third = 0; third < 2; ++third) {
+        const auto &cts = third == 0 ? as : bs;
+        for (std::size_t d = 0; d < dpus; ++d) {
+            std::vector<std::uint8_t> bytes(arr);
+            pimsys.dpuSet().copyFromMram(d, third * arr, bytes);
+            const std::size_t begin = d * per_dpu;
+            const std::size_t valid =
+                begin < total ? std::min(per_dpu, total - begin) : 0;
+            for (std::size_t e = 0; e < valid; ++e) {
+                const std::size_t f = begin + e;
+                const auto &coeff =
+                    cts[f / (comps * n)][(f / n) % comps][f % n];
+                for (std::size_t l = 0; l < N; ++l) {
+                    std::uint32_t limb = 0;
+                    std::memcpy(&limb, bytes.data() + (e * N + l) * 4, 4);
+                    ASSERT_EQ(limb, coeff.limb(l))
+                        << "third " << third << " dpu " << d << " elem "
+                        << e << " limb " << l;
+                }
+            }
+            for (std::size_t i = valid * N * 4; i < arr; ++i)
+                ASSERT_EQ(bytes[i], 0u)
+                    << "stale padding byte " << i << " of third "
+                    << third << " on dpu " << d << " (valid elements: "
+                    << valid << ")";
+        }
+    }
 }
 
 TEST(Orchestrator, SingleCiphertextAndSingleDpu)
